@@ -4,6 +4,24 @@ Each generator is represented by rotor angle deviation, speed deviation and
 transient quadrature-axis EMF deviation, coupled through a reduced network
 described by conductance and susceptance matrices.  All quantities are in
 per unit except angles (rad) and time (s).
+
+Network currents in phasor form
+-------------------------------
+With ``d_ij = delta_i - delta_j`` the axis currents of :func:`currents` are
+
+    Id_i = sum_j E'_qj (G_ij sin(d_ij) - B_ij cos(d_ij))
+    Iq_i = sum_j E'_qj (B_ij sin(d_ij) + G_ij cos(d_ij)).
+
+Put ``w_j = exp(1j delta_j)`` and ``Y = G + 1j B``.  Since
+``conj(w_i) w_j = exp(-1j d_ij) = cos(d_ij) - 1j sin(d_ij)``,
+
+    S_i = conj(w_i) (Y @ (E'_q w))_i
+        = sum_j E'_qj [(G_ij cos + B_ij sin) + 1j (B_ij cos - G_ij sin)](d_ij),
+
+so ``Iq = Re S`` and ``Id = -Im S``: n complex exponentials and one complex
+matrix-vector product instead of n^2 sines, n^2 cosines and two real
+products.  :func:`currents` and the simulation right-hand side share this
+one kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +44,6 @@ __all__ = [
     "derivatives",
     "verify_equilibrium",
     "linearize",
-    "linearize_closed_form",
     "construct_equilibrium",
     "refine_equilibrium",
     "load_plant",
@@ -228,6 +245,14 @@ def _param_arrays(params: Sequence[GeneratorParams]):
     }
 
 
+def _network_currents(delta, E, Y):
+    """Axis currents ``(Id, Iq)`` at absolute angles ``delta`` and EMFs ``E``
+    through the phasor identity of the module docstring; ``Y = G + 1j B``."""
+    w = np.exp(1j * delta)
+    S = w.conj() * (Y @ (E * w))
+    return -S.imag, S.real
+
+
 def currents(state, op: OperatingPoint, net: NetworkModel):
     """Direct- and quadrature-axis currents injected by the network.
 
@@ -240,14 +265,8 @@ def currents(state, op: OperatingPoint, net: NetworkModel):
     if op.n != n:
         raise ValueError(f"operating point has {op.n} machines, network has {n}")
     x = _as_state(state, n)
-    delta = op.delta0 + x[:, 0]
-    E = op.Eq_prime0 + x[:, 2]
-    dij = delta[:, None] - delta[None, :]
-    sin_d = np.sin(dij)
-    cos_d = np.cos(dij)
-    Id = (net.G * sin_d - net.B * cos_d) @ E
-    Iq = (net.B * sin_d + net.G * cos_d) @ E
-    return Id, Iq
+    return _network_currents(op.delta0 + x[:, 0], op.Eq_prime0 + x[:, 2],
+                             net.G + 1j * net.B)
 
 
 def electrical_power(state, op: OperatingPoint, net: NetworkModel):
@@ -261,27 +280,43 @@ def electrical_power(state, op: OperatingPoint, net: NetworkModel):
     return E * Iq, E * Id
 
 
-def _rhs_core(x, u, pa, delta0, E0, G, B):
+@dataclass(frozen=True, slots=True)
+class _RhsConstants:
+    """Per-plant constants of the right-hand side, built once per plant."""
+
+    damp: np.ndarray     # D / 2H
+    gain: np.ndarray     # omega0 / 2H
+    drive: np.ndarray    # omega0 Pm / 2H
+    dxd: np.ndarray      # xd - x'd
+    inv_Tdo: np.ndarray  # 1 / T'do
+    Y: np.ndarray        # G + jB
+    delta0: np.ndarray
+    E0: np.ndarray
+
+
+def _rhs_constants(params: Sequence[GeneratorParams], op: OperatingPoint,
+                   net: NetworkModel) -> _RhsConstants:
+    pa = _param_arrays(params)
+    gain = pa["omega0"] / (2.0 * pa["H"])
+    return _RhsConstants(
+        damp=pa["D"] / (2.0 * pa["H"]), gain=gain, drive=gain * pa["Pm"],
+        dxd=pa["xd"] - pa["xdp"], inv_Tdo=1.0 / pa["Tdo"],
+        Y=net.G + 1j * net.B, delta0=op.delta0, E0=op.Eq_prime0)
+
+
+def _rhs_core(x, u, k: _RhsConstants):
     """Unvalidated deviation-dynamics right-hand side (hot-loop form).
 
-    ``x`` is (n, 3), ``u`` the absolute field EMFs (n,), ``pa`` a stacked
-    parameter dict.  The simulation engine calls this once per integrator
-    substage; :func:`derivatives` wraps it with input validation.
+    ``x`` is (n, 3), ``u`` the absolute field EMFs (n,), ``k`` the plant's
+    :class:`_RhsConstants`.  The simulation engine calls this once per
+    integrator substage; :func:`derivatives` wraps it with input validation.
     """
-    delta = delta0 + x[:, 0]
-    E = E0 + x[:, 2]
-    dij = delta[:, None] - delta[None, :]
-    sin_d = np.sin(dij)
-    cos_d = np.cos(dij)
-    Id = (G * sin_d - B * cos_d) @ E
-    Iq = (B * sin_d + G * cos_d) @ E
-    Pe = E * Iq
-    Eq = E + (pa["xd"] - pa["xdp"]) * Id
+    E = k.E0 + x[:, 2]
+    Id, Iq = _network_currents(k.delta0 + x[:, 0], E, k.Y)
     dx = np.empty_like(x)
     dx[:, 0] = x[:, 1]
-    dx[:, 1] = -(pa["D"] / (2.0 * pa["H"])) * x[:, 1] \
-        + (pa["omega0"] / (2.0 * pa["H"])) * (pa["Pm"] - Pe)
-    dx[:, 2] = (u - Eq) / pa["Tdo"]
+    dx[:, 1] = k.drive - k.damp * x[:, 1] - k.gain * (E * Iq)
+    dx[:, 2] = (u - E - k.dxd * Id) * k.inv_Tdo
     return dx
 
 
@@ -301,8 +336,7 @@ def derivatives(state, u, params: Sequence[GeneratorParams],
     u = np.asarray(u, dtype=float).ravel()
     if u.size != n:
         raise ValueError(f"u has {u.size} entries, expected {n}")
-    pa = params if isinstance(params, dict) else _param_arrays(params)
-    return _rhs_core(x, u, pa, op.delta0, op.Eq_prime0, net.G, net.B)
+    return _rhs_core(x, u, _rhs_constants(params, op, net))
 
 
 def verify_equilibrium(op: OperatingPoint, params: Sequence[GeneratorParams],
@@ -380,53 +414,6 @@ def linearize(op: OperatingPoint, params: Sequence[GeneratorParams],
             Gint[i, j, 1, 2] = -c[i] * E[i] * Pq[i, j]
             Gint[i, j, 2, 0] = d[i] * Pq[i, j] * E[j]
             Gint[i, j, 2, 2] = -d[i] * Md[i, j]
-
-    Bsub = np.zeros((n, N_STATES))
-    Bsub[:, 2] = 1.0 / pa["Tdo"]
-    Csub = np.zeros((n, 1, N_STATES))
-    Csub[:, 0, 0] = 1.0
-    return LinearizedPlant(A=A, Gint=Gint, Bsub=Bsub, Csub=Csub)
-
-
-def linearize_closed_form(op: OperatingPoint, params: Sequence[GeneratorParams],
-                          net: NetworkModel) -> LinearizedPlant:
-    """Alternate closed-form coefficient table, kept only as a cross-check.
-
-    This evaluates a legacy hand-derived coefficient set.  Its speed-row and
-    EMF-decay entries (``A[i, 1, 1]`` and ``A[i, 2, 2]``) agree with
-    :func:`linearize`; the remaining entries keep network diagonal terms
-    inside the angle sums and omit the synchronous-speed scaling, so they do
-    not reproduce the Jacobian and must not be used for simulation or design.
-    """
-    n = net.n
-    pa = _param_arrays(params)
-    E = op.Eq_prime0
-    dij = op.delta0[:, None] - op.delta0[None, :]
-    sin_d = np.sin(dij)
-    cos_d = np.cos(dij)
-    kd = net.G * sin_d - net.B * cos_d   # d-axis kernel
-    kq = net.B * sin_d + net.G * cos_d   # q-axis kernel
-    twoH = 2.0 * pa["H"]
-
-    A = np.zeros((n, N_STATES, N_STATES))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = (1.0 / twoH) * ((kd * (E[:, None] * E[None, :])).sum(axis=1))
-    A[:, 1, 1] = -pa["D"] / twoH
-    A[:, 1, 2] = -np.diag(net.G) * E / pa["H"] - (kq @ E) / twoH
-    A[:, 2, 0] = -((pa["xd"] - pa["xdp"]) / pa["Tdo"]) * (kq @ E)
-    A[:, 2, 2] = -1.0 / pa["Tdo"] + (pa["xd"] - pa["xdp"]) * np.diag(net.B) / pa["Tdo"]
-
-    Gint = np.zeros((n, n, N_STATES, N_STATES))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            Gint[i, j, 1, 0] = E[i] * E[j] * kd[i, j] / twoH[i]
-            Gint[i, j, 1, 2] = -E[i] * kq[i, j] / twoH[i]
-            Gint[i, j, 2, 0] = -((pa["xd"][i] - pa["xdp"][i]) / pa["Tdo"][i]) \
-                * E[j] * kq[i, j]
-            Gint[i, j, 2, 2] = -((pa["xd"][i] - pa["xdp"][i]) / pa["Tdo"][i]) \
-                * kd[i, j]
 
     Bsub = np.zeros((n, N_STATES))
     Bsub[:, 2] = 1.0 / pa["Tdo"]

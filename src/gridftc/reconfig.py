@@ -61,8 +61,10 @@ class FaultEvent:
     """One sensor fault: location, kind and detection latency.
 
     ``subsystem`` is 1-based.  ``factor`` is required for gain faults;
-    ``stuck_value`` optionally pins a stuck sensor to a fixed reading
-    (otherwise it holds its last pre-fault value).  ``fdi_delay`` is the time
+    ``stuck_value`` optionally pins a stuck sensor to a fixed absolute
+    reading (rad, like a healthy sensor's output; the loop consumes it minus
+    the operating-point angle).  Without it the sensor holds its last
+    pre-fault reading.  ``fdi_delay`` is the time
     the diagnosis layer needs before the fault location and magnitude become
     available to the reconfiguration logic.
     """

@@ -14,7 +14,8 @@ deviation exactly, while fault transforms act on the absolute signal:
 
 * ``gain``       -- the reading is scaled, which injects the constant bias
   ``(factor - 1) * reference`` on top of a scaled deviation;
-* ``stuck``      -- the reading freezes at its last pre-fault value;
+* ``stuck``      -- the reading freezes at the fault's ``stuck_value`` when
+  one is given (an absolute reading), else at its last pre-fault value;
 * ``total-loss`` -- the wire goes dead and the reading drops to zero, an
   effective bias of minus the reference.
 
@@ -58,6 +59,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.signal import place_poles
 
 from .observability import StateSpace
@@ -65,7 +67,7 @@ from .observer import DEFAULT_L_MAX, shaping_coefficients, to_chain_form
 from .power_model import (
     N_STATES,
     PlantModel,
-    _param_arrays,
+    _rhs_constants,
     _rhs_core,
     load_plant,
 )
@@ -81,7 +83,6 @@ from .reconfig import (
 
 DEFAULT_POLES = (-1.2, -1.7, -2.4)
 DEFAULT_SETTLING_WINDOW = 10.0
-_CHAIN_POWERS = np.arange(1, N_STATES + 1, dtype=float)
 
 
 class ScenarioError(ValueError):
@@ -457,12 +458,6 @@ def _grid_index(t: float, dt: float) -> int:
     return int(math.ceil(ratio))
 
 
-def _chain_gains(L, coeffs):
-    """Correction gains c_k * L^k, vectorized over a bank (L may be array)."""
-    L = np.asarray(L, dtype=float)
-    return coeffs * L[..., None] ** _CHAIN_POWERS[: coeffs.size]
-
-
 def _rk4_chain(Z, y, g, uch, dt):
     """One RK4 step of chain-observer dynamics, batched over leading axes.
 
@@ -471,11 +466,8 @@ def _rk4_chain(Z, y, g, uch, dt):
     per-row correction gains and ``uch`` the chain-coordinate input term.
     """
     def rhs(z):
-        dz = np.empty_like(z)
-        dz[..., :-1] = z[..., 1:]
-        dz[..., -1] = 0.0
-        dz += uch
-        dz += g * (y - z[..., 0])[..., None]
+        dz = uch + g * (y - z[..., 0])[..., None]
+        dz[..., :-1] += z[..., 1:]
         return dz
 
     k1 = rhs(Z)
@@ -486,11 +478,17 @@ def _rk4_chain(Z, y, g, uch, dt):
 
 
 class _MergedObserver:
-    """Runtime state of the augmented-set chain observer."""
+    """Runtime state of the augmented-set chain observer.
 
-    def __init__(self, spec, faulty_id: int, xhat_members: np.ndarray):
+    ``dead`` holds the 1-based ids whose sensors are switched off when the
+    observer starts; their readings get weight zero in the measurement.
+    """
+
+    def __init__(self, spec, faulty_id: int, xhat_members: np.ndarray,
+                 dead: set):
         self.spec = spec
         self.ids = spec.ids
+        self.idx = np.array(spec.ids) - 1
         self.faulty_id = faulty_id
         self.chain = spec.chain
         self.n = self.chain.n
@@ -499,12 +497,11 @@ class _MergedObserver:
         self.z = self.chain.T @ xhat_members
         self.L = 1.0            # the adaptation law restarts at its initial value
         self.faulty_slice = spec.index_map[faulty_id]
-        self.weights = spec.output_weights
+        self.weights = np.where([sid in dead for sid in spec.ids], 0.0,
+                                spec.output_weights)
 
-    def measurement(self, y_used: np.ndarray, dead: set) -> float:
-        rows = np.array([0.0 if sid in dead else y_used[sid - 1]
-                         for sid in self.ids])
-        return float(self.weights @ rows)
+    def measurement(self, y_used: np.ndarray) -> float:
+        return float(self.weights @ y_used[self.idx])
 
     def estimates(self) -> np.ndarray:
         return self.chain.T_inv @ self.z
@@ -524,10 +521,8 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     dt = scn.dt
     n_steps = int(round(scn.horizon / dt))
     lin = plant.linearize()
-    pa = _param_arrays(plant.generators)
+    rhs_k = _rhs_constants(plant.generators, plant.op, plant.network)
     delta0 = plant.op.delta0
-    E0 = plant.op.Eq_prime0
-    Gm, Bm = plant.network.G, plant.network.B
     u0 = plant.op.Ef0
     y_ref = delta0.copy()
 
@@ -545,10 +540,12 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     Tn_inv = np.stack([c.T_inv for c in chains])
     ICn = np.stack([c.input_chain.ravel() for c in chains])
     coeffs = shaping_coefficients(N_STATES, scn.observer.shaping)
+    powers = np.arange(1, N_STATES + 1, dtype=float)
     xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
     Z = np.einsum("nij,nj->ni", Tn, xhat0)
     Lg = np.ones(n)
     nominal_active = np.ones(n, dtype=bool)
+    all_nominal = True          # skip the freeze masks until one is set
     L_max = scn.observer.L_max
     l_const = scn.observer.l_value if scn.observer.l_mode == "constant" else None
 
@@ -596,7 +593,8 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
         for fr in faults_rt:
             if not fr.applied and k >= fr.start:
                 fr.applied = True
-                fr.held = prev_abs[fr.ev.subsystem - 1]
+                fr.held = (prev_abs[fr.ev.subsystem - 1]
+                           if fr.ev.stuck_value is None else fr.ev.stuck_value)
                 events.append(EventMarker(
                     t=t, step=k, kind="fault", subsystem=fr.ev.subsystem,
                     label=f"fault:sub{fr.ev.subsystem}:{fr.ev.kind}",
@@ -625,22 +623,23 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
                           and plan.observer_spec is not None
                           and plan.observer_spec.chain is not None):
                         spec = plan.observer_spec
-                        xh_now = np.einsum("nij,nj->ni", Tn_inv, Z)
+                        xh_now = (Tn_inv @ Z[..., None])[..., 0]
                         if merged is not None:
                             xm = merged.estimates()
                             for mid in merged.ids:
                                 xh_now[mid - 1] = xm[merged.spec.index_map[mid]]
                         xcat = np.concatenate([xh_now[mid - 1]
                                                for mid in spec.ids])
-                        merged = _MergedObserver(spec, sid, xcat)
+                        dead_sensors.add(sid)
+                        merged = _MergedObserver(spec, sid, xcat, dead_sensors)
                         key = merged.n
                         if key not in merged_coeffs_cache:
                             merged_coeffs_cache[key] = shaping_coefficients(
                                 key, scn.observer.shaping)
                         merged.coeffs = merged_coeffs_cache[key]
                         nominal_active[sid - 1] = False
+                        all_nominal = False
                         vs_gain.pop(sid - 1, None)
-                        dead_sensors.add(sid)
                     else:
                         unrecoverable = True
 
@@ -664,7 +663,7 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
             y_used[i] = (y_abs[i] - factor * y_ref[i]) / factor
 
         # --- estimates ------------------------------------------------------
-        xhat = np.einsum("nij,nj->ni", Tn_inv, Z)
+        xhat = (Tn_inv @ Z[..., None])[..., 0]
         L_col = Lg.copy()
         if merged is not None:
             xm = merged.estimates()
@@ -683,7 +682,7 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
             break
 
         # --- controller -----------------------------------------------------
-        u_dev = -np.einsum("ij,ij->i", K, xhat)
+        u_dev = -(K * xhat).sum(1)
         if merged is not None:
             # A freshly built merged chain restarts gain adaptation from
             # L = 1 and is far too slow a filter to close the faulty
@@ -697,22 +696,24 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
 
         # --- observer bank step (innovation sampled at the step start) ------
         e1 = y_used - Z[:, 0]
-        g = _chain_gains(Lg, coeffs)
+        g = coeffs * Lg[:, None] ** powers
         uch = ICn * u_dev[:, None]
         Z_next = _rk4_chain(Z, y_used, g, uch, dt)
-        Z = np.where(nominal_active[:, None], Z_next, Z)
-        if scn.observer.l_mode == "constant":
+        if l_const is not None:
             growth = (e1 * e1) / (l_const * l_const)
         else:
             growth = (e1 * e1) / (Lg * Lg)
-        Lg = np.where(nominal_active,
-                      np.minimum(L_max, Lg + dt * growth), Lg)
+        Lg_next = np.minimum(L_max, Lg + dt * growth)
+        if all_nominal:
+            Z, Lg = Z_next, Lg_next
+        else:
+            Z = np.where(nominal_active[:, None], Z_next, Z)
+            Lg = np.where(nominal_active, Lg_next, Lg)
 
         # --- merged observer step -------------------------------------------
         if merged is not None:
-            y_m = merged.measurement(y_used, dead_sensors)
-            u_m = np.array([u_dev[mid - 1] for mid in merged.ids])
-            uch_m = merged.chain.input_chain @ u_m
+            y_m = merged.measurement(y_used)
+            uch_m = merged.chain.input_chain @ u_dev[merged.idx]
             g_m = merged.coeffs * merged.L ** merged.powers
             e1_m = y_m - merged.z[0]
             merged.z = _rk4_chain(merged.z, y_m, g_m, uch_m, dt)
@@ -720,10 +721,10 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
             merged.L = min(L_max, merged.L + dt * e1_m * e1_m / (l_m * l_m))
 
         # --- plant step -------------------------------------------------------
-        k1 = _rhs_core(x, u_abs, pa, delta0, E0, Gm, Bm)
-        k2 = _rhs_core(x + 0.5 * dt * k1, u_abs, pa, delta0, E0, Gm, Bm)
-        k3 = _rhs_core(x + 0.5 * dt * k2, u_abs, pa, delta0, E0, Gm, Bm)
-        k4 = _rhs_core(x + dt * k3, u_abs, pa, delta0, E0, Gm, Bm)
+        k1 = _rhs_core(x, u_abs, rhs_k)
+        k2 = _rhs_core(x + 0.5 * dt * k1, u_abs, rhs_k)
+        k3 = _rhs_core(x + 0.5 * dt * k2, u_abs, rhs_k)
+        k4 = _rhs_core(x + dt * k3, u_abs, rhs_k)
         x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
     log = TrajectoryLog(
@@ -740,14 +741,18 @@ def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
 
     Interactions are evaluated through the linearized coupling blocks at the
     logged states and mapped to chain coordinates, on a stride keeping at
-    most ``max_samples`` samples.
+    most ``max_samples`` samples.  The blocks ``Gint[i, j]`` are laid out as
+    one (3n, 3n) coupling matrix and the chain transforms as one
+    block-diagonal matrix, so each output is one product over all samples.
     """
-    rows = log.x.shape[0]
+    rows, n, _ = log.x.shape
     stride = max(1, rows // max_samples)
-    X = log.x[::stride]
-    inter_phys = np.einsum("ijkl,sjl->sik", lin.Gint, X)
-    log.interactions = np.einsum("ikl,sil->sik", Tn, inter_phys)
-    log.chain_true = np.einsum("ikl,sil->sik", Tn, X)
+    X = log.x[::stride].reshape(-1, N_STATES * n)
+    coupling = lin.Gint.transpose(0, 2, 1, 3).reshape(N_STATES * n,
+                                                      N_STATES * n)
+    T = block_diag(*Tn)
+    log.interactions = (X @ (T @ coupling).T).reshape(-1, n, N_STATES)
+    log.chain_true = (X @ T.T).reshape(-1, n, N_STATES)
     log.diag_stride = stride
 
 

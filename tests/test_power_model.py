@@ -150,20 +150,66 @@ def test_derivatives_damping_term_isolated():
     assert dx[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
+def oracle_derivatives(x, u, params, op, net):
+    return orc.derivatives_loops(
+        x, u,
+        [p.D for p in params], [p.H for p in params],
+        [p.omega0 for p in params], [p.Pm for p in params],
+        [p.Tdo_prime for p in params], [p.xd for p in params],
+        [p.xd_prime for p in params],
+        op.delta0, op.Eq_prime0, net.G, net.B)
+
+
+def forty_machine_plant(seed=40):
+    """A seeded, densely coupled 40-machine plant at an exact equilibrium,
+    with distinct constants on every machine."""
+    n = 40
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0.0, 0.05, (n, n))
+    G = 0.5 * (M + M.T)
+    M = rng.uniform(0.0, 0.4, (n, n))
+    B = 0.5 * (M + M.T)
+    np.fill_diagonal(G, rng.uniform(0.25, 0.30, n))
+    np.fill_diagonal(B, -rng.uniform(1.40, 1.60, n))
+    net = NetworkModel(G=G, B=B)
+    u = rng.uniform
+    params = [GeneratorParams(D=u(1.5, 3.0), H=u(4.0, 6.0), omega0=OMEGA0,
+                              Pm=0.0, Tdo_prime=u(5.0, 7.5), xd=u(1.4, 1.6),
+                              xd_prime=u(0.27, 0.32), xad=u(1.2, 1.35))
+              for _ in range(n)]
+    params, op = construct_equilibrium(u(-0.5, 0.5, n), u(0.95, 1.10, n),
+                                       params, net)
+    return params, op, net
+
+
 def test_derivatives_match_loop_oracle(desk5, rng):
     pa = desk5.generators
     for _ in range(10):
         x = rng.uniform(-0.3, 0.3, (desk5.n, 3))
         u = desk5.op.Ef0 + rng.uniform(-0.2, 0.2, desk5.n)
         dx = derivatives(x, u, pa, desk5.op, desk5.network)
-        dx_ref = orc.derivatives_loops(
-            x, u,
-            [p.D for p in pa], [p.H for p in pa], [p.omega0 for p in pa],
-            [p.Pm for p in pa], [p.Tdo_prime for p in pa],
-            [p.xd for p in pa], [p.xd_prime for p in pa],
-            desk5.op.delta0, desk5.op.Eq_prime0,
-            desk5.network.G, desk5.network.B)
+        dx_ref = oracle_derivatives(x, u, pa, desk5.op, desk5.network)
         assert np.max(np.abs(dx - dx_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("angle_span", [0.3, np.pi])
+def test_kernel_matches_loop_oracle_forty_machines(rng, angle_span):
+    # angle deviations up to pi put every quadrant of exp(1j delta) in play,
+    # where a sign slip in the phasor form would show
+    params, op, net = forty_machine_plant()
+    for _ in range(3):
+        x = rng.uniform(-0.3, 0.3, (op.n, 3))
+        x[:, 0] = rng.uniform(-angle_span, angle_span, op.n)
+        u = op.Ef0 + rng.uniform(-0.2, 0.2, op.n)
+        dx = derivatives(x, u, params, op, net)
+        assert np.max(np.abs(dx - oracle_derivatives(x, u, params, op, net))) \
+            < 1e-12
+        Id, Iq = currents(x, op, net)
+        Id_ref, Iq_ref = orc.currents_loops(op.delta0 + x[:, 0],
+                                            op.Eq_prime0 + x[:, 2],
+                                            net.G, net.B)
+        assert np.max(np.abs(Id - Id_ref)) < 1e-12
+        assert np.max(np.abs(Iq - Iq_ref)) < 1e-12
 
 
 def test_derivatives_reject_nonfinite_state(desk5):

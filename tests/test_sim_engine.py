@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from gridftc.power_model import NetworkModel, PlantModel, construct_equilibrium
+from gridftc.power_model import (
+    LinearizedPlant,
+    NetworkModel,
+    PlantModel,
+    construct_equilibrium,
+)
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
     ControllerConfig,
@@ -13,6 +18,7 @@ from gridftc.sim_engine import (
     Scenario,
     ScenarioError,
     TrajectoryLog,
+    _attach_interaction_diagnostics,
     _grid_index,
     build_report,
     measure,
@@ -236,6 +242,51 @@ def test_initial_offset_enters_and_decays(desk2):
     err = np.max(np.abs(log.xhat - log.x), axis=(1, 2))
     assert err[-1] < 0.5 * err[0]
     assert np.all(np.diff(log.L, axis=0) >= 0.0)
+
+
+@pytest.mark.parametrize("stuck_value", [0.123, None])
+def test_stuck_fault_holds_reading(desk2, stuck_value):
+    fault = FaultEvent(t_fault=0.5, subsystem=1, kind="stuck", fdi_delay=0.2,
+                       stuck_value=stuck_value)
+    scn = Scenario(plant=desk2, horizon=1.5, dt=1e-3, faults=(fault,),
+                   observer=ObserverConfig(initial_offset=0.2),
+                   settling_window=1.0, reconfigure=False)
+    log = run_scenario(scn, seed=0)
+    k0 = 500
+    held = log.y_meas[k0:, 0]
+    if stuck_value is None:
+        assert np.all(held == log.y_meas[k0 - 1, 0])
+    else:
+        assert np.all(held == stuck_value - desk2.op.delta0[0])
+    assert not np.all(log.y_meas[:k0, 0] == held[0])
+    # the healthy sensor keeps tracking its angle
+    assert np.allclose(log.y_meas[:, 1], log.x[:, 1, 0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, rows, max_samples, stride",
+                         [(5, 40, 2000, 1), (5, 41, 10, 4),
+                          (12, 40, 2000, 1), (12, 41, 10, 4)])
+def test_interaction_diagnostics_match_einsum(n, rows, max_samples, stride):
+    rng = np.random.default_rng([n, rows, max_samples])
+    Gint = rng.normal(size=(n, n, 3, 3))
+    Gint[np.arange(n), np.arange(n)] = 0.0
+    lin = LinearizedPlant(A=rng.normal(size=(n, 3, 3)), Gint=Gint,
+                          Bsub=np.zeros((n, 3)), Csub=np.zeros((n, 1, 3)))
+    Tn = rng.normal(size=(n, 3, 3))
+    x = rng.normal(size=(rows, n, 3))
+    zeros = np.zeros((rows, n))
+    log = TrajectoryLog(scenario_name="diag", t=np.arange(rows) * 1e-3, x=x,
+                        xhat=np.zeros_like(x), y_meas=zeros, y_used=zeros,
+                        L=np.ones((rows, n)))
+    _attach_interaction_diagnostics(log, lin, Tn, max_samples=max_samples)
+    X = x[::stride]
+    inter_ref = np.einsum("ikl,sil->sik", Tn,
+                          np.einsum("ijkl,sjl->sik", Gint, X))
+    assert log.diag_stride == stride
+    assert log.interactions.shape == inter_ref.shape
+    assert np.max(np.abs(log.interactions - inter_ref)) < 1e-12
+    assert np.max(np.abs(log.chain_true
+                         - np.einsum("ikl,sil->sik", Tn, X))) < 1e-12
 
 
 def test_two_fault_markers(two_fault_log):
