@@ -56,7 +56,6 @@ from .reconfig import (
     virtual_sensor,
     augment,
     rftc_select,
-    build_observer_bank,
 )
 
 __version__ = "0.1.0"

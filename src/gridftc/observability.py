@@ -155,11 +155,12 @@ def obsv_matrix(A, C) -> np.ndarray:
     """Stacked observability matrix [C; CA; ...; CA^(n-1)]."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    n, p = A.shape[0], C.shape[0]
+    O = np.empty((n * p, C.shape[1]))
+    O[:p] = C
+    for k in range(p, n * p, p):
+        np.matmul(O[k - p:k], A, out=O[k:k + p])
+    return O
 
 
 def kalman_rank(A, C, tol: float = DEFAULT_RANK_TOL):
@@ -185,20 +186,16 @@ def structurally_observable(pattern: ZeroPattern) -> bool:
     along influence edges.  This is a necessary condition: it ignores
     numerical cancellation entirely.
     """
-    n = pattern.A.shape[0]
-    measured = np.any(pattern.C, axis=0)
-    # Walk influence edges backwards: from state i, information flows to any
-    # state k with A[k, i] nonzero, so reachability of an output is BFS over
-    # columns.
-    reached = measured.copy()
-    frontier = list(np.flatnonzero(measured))
-    while frontier:
-        k = frontier.pop()
-        for j in np.flatnonzero(pattern.A[k, :]):
-            if not reached[j]:
-                reached[j] = True
-                frontier.append(j)
-    return bool(np.all(reached))
+    # Information flows from state j to every state i with A[i, j] nonzero,
+    # so the states that reach an output are found by walking rows backwards
+    # from the measured states, one whole frontier at a time (a boolean
+    # vector-matrix product is the OR over the frontier's rows).
+    reached = pattern.C.any(axis=0)
+    frontier = reached
+    while frontier.any():
+        frontier = (frontier @ pattern.A) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
 
 
 def adjugate_coeffs(A: np.ndarray) -> np.ndarray:

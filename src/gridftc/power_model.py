@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -183,35 +184,46 @@ class LinearizedPlant:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def full_matrix(self) -> np.ndarray:
-        """Assemble the full (3n, 3n) state matrix from blocks."""
-        n = self.n
-        full = np.zeros((N_STATES * n, N_STATES * n))
-        for i in range(n):
-            ri = slice(N_STATES * i, N_STATES * (i + 1))
-            full[ri, ri] = self.A[i]
-            for j in range(n):
-                if j == i:
-                    continue
-                cj = slice(N_STATES * j, N_STATES * (j + 1))
-                full[ri, cj] = self.Gint[i, j]
+    @cached_property
+    def _full(self):
+        """``(A, B, C, index)`` of the whole plant, assembled once.
+
+        A merged candidate's state matrix is the rows and columns
+        ``idx = index[ids].ravel()`` of ``A``.  Nothing mutates the plant, so
+        the arrays are built on first use and shared read-only.
+        """
+        n, p = self.n, self.Csub.shape[1]
+        on = np.arange(n)
+        A = self.Gint.transpose(0, 2, 1, 3).copy()
+        A[on, :, on, :] = self.A
+        B = np.zeros((n, N_STATES, n))
+        B[on, :, on] = self.Bsub
+        C = np.zeros((n, p, n, N_STATES))
+        C[on, :, on, :] = self.Csub
+        full = (A.reshape(N_STATES * n, N_STATES * n),
+                B.reshape(N_STATES * n, n), C.reshape(n * p, N_STATES * n),
+                np.arange(N_STATES * n).reshape(n, N_STATES))
+        for M in full:
+            M.flags.writeable = False
         return full
 
+    def full_matrix(self) -> np.ndarray:
+        """The full (3n, 3n) state matrix (shared, read-only)."""
+        return self._full[0]
+
     def full_input(self) -> np.ndarray:
-        """Block-diagonal (3n, n) input matrix."""
-        n = self.n
-        B = np.zeros((N_STATES * n, n))
-        for i in range(n):
-            B[N_STATES * i : N_STATES * (i + 1), i] = self.Bsub[i]
-        return B
+        """Block-diagonal (3n, n) input matrix (shared, read-only)."""
+        return self._full[1]
 
     def full_output(self) -> np.ndarray:
-        """Block-diagonal (n, 3n) output matrix."""
-        n = self.n
-        C = np.zeros((n, N_STATES * n))
-        for i in range(n):
-            C[i, N_STATES * i : N_STATES * (i + 1)] = self.Csub[i, 0]
-        return C
+        """Block-diagonal (n p, 3n) output matrix, p rows per subsystem
+        (shared, read-only)."""
+        return self._full[2]
+
+    def state_index(self) -> np.ndarray:
+        """(n, 3) table: row ``i`` holds subsystem ``i``'s full-matrix
+        columns."""
+        return self._full[3]
 
 
 def _as_state(x, n: int) -> np.ndarray:
@@ -296,12 +308,20 @@ class _RhsConstants:
 
 def _rhs_constants(params: Sequence[GeneratorParams], op: OperatingPoint,
                    net: NetworkModel) -> _RhsConstants:
+    """The plant's RHS constants, built on first use and kept on ``op`` for
+    the (``params``, ``net``) pair they were built from."""
+    params = tuple(params)
+    cached = op.__dict__.get("_rhs_cache")
+    if cached is not None and cached[0] is net and cached[1] == params:
+        return cached[2]
     pa = _param_arrays(params)
     gain = pa["omega0"] / (2.0 * pa["H"])
-    return _RhsConstants(
+    k = _RhsConstants(
         damp=pa["D"] / (2.0 * pa["H"]), gain=gain, drive=gain * pa["Pm"],
         dxd=pa["xd"] - pa["xdp"], inv_Tdo=1.0 / pa["Tdo"],
         Y=net.G + 1j * net.B, delta0=op.delta0, E0=op.Eq_prime0)
+    object.__setattr__(op, "_rhs_cache", (net, params, k))
+    return k
 
 
 def _rhs_core(x, u, k: _RhsConstants):

@@ -44,7 +44,6 @@ __all__ = [
     "augment",
     "evaluate_candidate",
     "rftc_select",
-    "build_observer_bank",
 ]
 
 log = logging.getLogger(__name__)
@@ -215,61 +214,50 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
     if faulty_id not in ids:
         raise ValueError(f"faulty subsystem {faulty_id} missing from ids {ids}")
 
-    m = len(ids)
-    dim = N_STATES * m
-    p_rows = [lin.Csub[i - 1].shape[0] for i in ids]
-    p_total = sum(p_rows)
-    A = np.zeros((dim, dim))
-    B = np.zeros((dim, m))
-    C_healthy = np.zeros((p_total, dim))
-    index_map = {}
-    row0 = 0
-    for a, ia in enumerate(ids):
-        sl = slice(N_STATES * a, N_STATES * (a + 1))
-        index_map[ia] = sl
-        A[sl, sl] = lin.A[ia - 1]
-        B[sl, a] = lin.Bsub[ia - 1]
-        C_healthy[row0 : row0 + p_rows[a], sl] = lin.Csub[ia - 1]
-        for b, ib in enumerate(ids):
-            if b == a:
-                continue
-            A[sl, N_STATES * b : N_STATES * (b + 1)] = lin.Gint[ia - 1, ib - 1]
-        row0 += p_rows[a]
-
+    # Candidate blocks are rows and columns of the cached full-plant matrices.
+    sub = np.subtract(ids, 1)
+    idx = lin.state_index().take(sub, 0).ravel()
+    p = lin.Csub.shape[1]
+    A = lin.full_matrix().take(idx, 0).take(idx, 1)
+    B = lin.full_input().take(idx, 0).take(sub, 1)
+    C_healthy = (lin.full_output().reshape(n, p, N_STATES * n)
+                 .take(sub, 0).take(idx, 2).reshape(p * len(ids), idx.size))
     C = C_healthy.copy()
-    fpos = ids.index(faulty_id)
-    frow0 = sum(p_rows[:fpos])
-    rows = range(p_rows[fpos]) if faulty_rows is None else faulty_rows
-    for r in rows:
-        if not 0 <= r < p_rows[fpos]:
+    frow0 = p * ids.index(faulty_id)
+    for r in range(p) if faulty_rows is None else faulty_rows:
+        if not 0 <= r < p:
             raise ValueError(
                 f"faulty row {r} out of range for subsystem {faulty_id}"
             )
         C[frow0 + r, :] = 0.0
+    index_map = {i: slice(N_STATES * a, N_STATES * (a + 1))
+                 for a, i in enumerate(ids)}
     return AugmentedSystem(ids=ids, A=A, B=B, C=C, C_healthy=C_healthy,
                            index_map=index_map, faulty_id=faulty_id)
 
 
 def _numeric_observable(aug: AugmentedSystem, tol: float) -> bool:
-    """Cascade test when the coupling is one-directional, Kalman otherwise."""
-    healthy = [i for i in aug.ids if i != aug.faulty_id]
-    if healthy:
-        h_idx = np.concatenate([np.arange(aug.index_map[i].start,
-                                          aug.index_map[i].stop)
-                                for i in healthy])
-        f_idx = np.arange(aug.index_map[aug.faulty_id].start,
-                          aug.index_map[aug.faulty_id].stop)
-        A21 = aug.A[np.ix_(f_idx, h_idx)]
-        if not np.any(A21):
-            A11 = aug.A[np.ix_(h_idx, h_idx)]
-            A12 = aug.A[np.ix_(h_idx, f_idx)]
-            A22 = aug.A[np.ix_(f_idx, f_idx)]
-            nonzero_rows = np.any(aug.C, axis=1)
-            C1 = aug.C[np.ix_(nonzero_rows, h_idx)]
-            if C1.size == 0:
-                return False
-            ok, _ = cascade_observable(A11, A12, A22, C1, tol)
-            return ok
+    """Cascade test when the coupling is one-directional, Kalman otherwise.
+
+    The coupling is one-directional when the faulty member's rows carry no
+    entry in the helpers' columns, which lie on both sides of its own
+    contiguous column block.
+    """
+    f = aug.index_map[aug.faulty_id]
+    f_rows = aug.A[f]
+    if (aug.dim > f.stop - f.start and not f_rows[:, :f.start].any()
+            and not f_rows[:, f.stop:].any()):
+        h_idx = np.r_[0:f.start, f.stop:aug.dim]
+        f_idx = np.arange(f.start, f.stop)
+        A11 = aug.A[np.ix_(h_idx, h_idx)]
+        A12 = aug.A[np.ix_(h_idx, f_idx)]
+        A22 = aug.A[np.ix_(f_idx, f_idx)]
+        nonzero_rows = np.any(aug.C, axis=1)
+        C1 = aug.C[np.ix_(nonzero_rows, h_idx)]
+        if C1.size == 0:
+            return False
+        ok, _ = cascade_observable(A11, A12, A22, C1, tol)
+        return ok
     rank, ok = kalman_rank(aug.A, aug.C, tol)
     return ok
 
@@ -284,8 +272,7 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
     trace with the output-functionality gap caused by the dead sensor rows.
     """
     cand = aug.ids
-    patt = ZeroPattern.from_matrices(aug.A, aug.C)
-    if not structurally_observable(patt):
+    if not structurally_observable(ZeroPattern(A=aug.A != 0, C=aug.C != 0)):
         return CostReport(candidate=cand, observable=False,
                           stable=is_hurwitz(aug.A),
                           reason="structurally unobservable")
@@ -378,8 +365,7 @@ class ReconfigPlan:
 def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
                 *, faulty_C=None, faulty_rows: Optional[Sequence[int]] = None,
                 j_max: Optional[float] = None, tol: float = 1e-9,
-                excluded_ids: Sequence[int] = (),
-                bank: Optional[dict] = None) -> ReconfigPlan:
+                excluded_ids: Sequence[int] = ()) -> ReconfigPlan:
     """Pick the cheapest admissible reconfiguration for a faulty subsystem.
 
     ``faulty_C`` is the subsystem's post-fault output matrix (``None`` means
@@ -445,19 +431,12 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
             best, best_aug = min(
                 admissible, key=lambda t: (t[0].J, t[0].candidate)
             )
-            key = (faulty_id, tuple(sorted(best.candidate[1:])))
-            if bank is not None and key in bank:
-                spec = bank[key]
-            else:
-                spec = _spec_for(best_aug, tol)
-                if bank is not None:
-                    bank[key] = spec
             return ReconfigPlan(
                 mode=MODE_AUGMENTATION,
                 faulty_id=faulty_id,
                 P=default_P(Csub, rows),
                 augment_set=best.candidate,
-                observer_spec=spec,
+                observer_spec=_spec_for(best_aug, tol),
                 J=best.J,
                 candidates=reports,
             )
@@ -467,37 +446,3 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         candidates=reports,
     )
 
-
-def build_observer_bank(lin: LinearizedPlant, cap: int = 3,
-                        tol: float = 1e-9) -> dict:
-    """Precompute observer specs for every observable candidate set.
-
-    Keys are ``(faulty_id, helper_ids_sorted)``; singletons ``(i, ())`` carry
-    each subsystem's own healthy-sensor observer.  Merge entries exist exactly
-    for the candidate sets (up to ``cap`` members) whose merged pair passes
-    the Kalman test with the faulty member's outputs zeroed.
-    """
-    if cap < 1:
-        raise ValueError(f"cardinality cap must be at least 1, got {cap}")
-    n = lin.n
-    bank: dict = {}
-    for i in range(1, n + 1):
-        sub = StateSpace(A=lin.A[i - 1], B=lin.Bsub[i - 1], C=lin.Csub[i - 1])
-        rank, ok = kalman_rank(sub.A, sub.C, tol)
-        if not ok:
-            continue
-        chain = to_chain_form(sub, tol)
-        bank[(i, ())] = ObserverSpec(
-            ids=(i,), index_map={i: slice(0, N_STATES)},
-            chain=chain, output_weights=np.ones(sub.C.shape[0]),
-        )
-    for f in range(1, n + 1):
-        helpers = [i for i in range(1, n + 1) if i != f]
-        for card in range(1, cap):
-            for combo in itertools.combinations(helpers, card):
-                aug = augment((f,) + combo, lin, f)
-                _, ok = kalman_rank(aug.A, aug.C, tol)
-                if not ok:
-                    continue
-                bank[(f, combo)] = _spec_for(aug, tol)
-    return bank

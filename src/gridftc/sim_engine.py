@@ -192,6 +192,7 @@ class Scenario:
             raise ScenarioError("j_max", "must be positive when given")
         n = self.plant.n
         last = -math.inf
+        merged_id = None    # subsystem whose dead sensor needs the merged observer
         for i, f in enumerate(self.faults):
             if not isinstance(f, FaultEvent):
                 raise ScenarioError(f"faults[{i}]", "not a fault event")
@@ -201,6 +202,16 @@ class Scenario:
             if not 1 <= f.subsystem <= n:
                 raise ScenarioError(f"faults[{i}].subsystem",
                                     f"subsystem {f.subsystem} outside 1..{n}")
+            if self.reconfigure and f.kind != "gain":
+                # The engine runs one merged observer; a second one would
+                # replace it and freeze the first faulty machine's estimate.
+                if merged_id not in (None, f.subsystem):
+                    raise ScenarioError(
+                        f"faults[{i}]",
+                        f"a {f.kind} fault on subsystem {f.subsystem} after "
+                        f"one on subsystem {merged_id} needs a second merged "
+                        "observer, which the engine does not support")
+                merged_id = f.subsystem
         if self.faults:
             need = max(f.t_fault for f in self.faults) + self.settling_window
             if self.horizon < need:

@@ -7,6 +7,7 @@ evidence rather than tautology.
 """
 
 import itertools
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -235,3 +236,71 @@ def _bbt(lin, ids):
     for a, ia in enumerate(ids):
         B[3 * a:3 * a + 3, a] = lin.Bsub[ia - 1]
     return B @ B.T
+
+
+def augment_loops(ids, lin, faulty_id, faulty_rows=None):
+    """Merged candidate blocks copied one 3x3 block at a time.
+
+    Returns a namespace with the fields of ``gridftc.reconfig.AugmentedSystem``
+    (plus ``dim``), so it can stand in for the package's ``augment``.
+    """
+    ids = tuple(int(i) for i in ids)
+    m = len(ids)
+    p_rows = [lin.Csub[i - 1].shape[0] for i in ids]
+    A = np.zeros((3 * m, 3 * m))
+    B = np.zeros((3 * m, m))
+    C_healthy = np.zeros((sum(p_rows), 3 * m))
+    index_map = {}
+    row0 = 0
+    for a, ia in enumerate(ids):
+        sl = slice(3 * a, 3 * (a + 1))
+        index_map[ia] = sl
+        A[sl, sl] = lin.A[ia - 1]
+        B[sl, a] = lin.Bsub[ia - 1]
+        C_healthy[row0:row0 + p_rows[a], sl] = lin.Csub[ia - 1]
+        for b, ib in enumerate(ids):
+            if b != a:
+                A[sl, 3 * b:3 * (b + 1)] = lin.Gint[ia - 1, ib - 1]
+        row0 += p_rows[a]
+    C = C_healthy.copy()
+    fpos = ids.index(faulty_id)
+    frow0 = sum(p_rows[:fpos])
+    for r in range(p_rows[fpos]) if faulty_rows is None else faulty_rows:
+        C[frow0 + r, :] = 0.0
+    return types.SimpleNamespace(ids=ids, A=A, B=B, C=C, C_healthy=C_healthy,
+                                 index_map=index_map, faulty_id=faulty_id,
+                                 dim=3 * m)
+
+
+def structurally_observable_dfs(pattern):
+    """Output reachability by depth-first search, one state at a time."""
+    reached = np.any(pattern.C, axis=0)
+    stack = list(np.flatnonzero(reached))
+    while stack:
+        k = stack.pop()
+        for j in np.flatnonzero(pattern.A[k, :]):
+            if not reached[j]:
+                reached[j] = True
+                stack.append(j)
+    return bool(np.all(reached))
+
+
+def numeric_observable_ix(aug, tol, cascade_observable, kalman_rank):
+    """Cascade-or-Kalman choice with every sub-block gathered by ``np.ix_``
+    before the coupling is inspected; the two tests are passed in."""
+    healthy = [i for i in aug.ids if i != aug.faulty_id]
+    if healthy:
+        h_idx = np.concatenate([np.arange(aug.index_map[i].start,
+                                          aug.index_map[i].stop)
+                                for i in healthy])
+        f_sl = aug.index_map[aug.faulty_id]
+        f_idx = np.arange(f_sl.start, f_sl.stop)
+        if not np.any(aug.A[np.ix_(f_idx, h_idx)]):
+            C1 = aug.C[np.ix_(np.any(aug.C, axis=1), h_idx)]
+            if C1.size == 0:
+                return False
+            ok, _ = cascade_observable(aug.A[np.ix_(h_idx, h_idx)],
+                                       aug.A[np.ix_(h_idx, f_idx)],
+                                       aug.A[np.ix_(f_idx, f_idx)], C1, tol)
+            return ok
+    return kalman_rank(aug.A, aug.C, tol)[1]

@@ -1,4 +1,4 @@
-"""Virtual sensors, augmentation blocks, candidate search, observer bank."""
+"""Virtual sensors, augmentation blocks, candidate search."""
 
 import logging
 
@@ -12,7 +12,6 @@ from gridftc.power_model import NetworkModel, construct_equilibrium, linearize
 from gridftc.reconfig import (
     FaultEvent,
     augment,
-    build_observer_bank,
     default_P,
     fault_output_map,
     rftc_select,
@@ -231,44 +230,3 @@ def test_select_rejects_unknown_subsystem(desk5_lin):
     with pytest.raises(ValueError, match="unknown subsystem"):
         rftc_select(9, desk5_lin, 100.0, 50.0, j_max=20.0)
 
-
-# -------------------------------------------------------------------- bank
-
-
-def test_bank_decoupled_plant_has_only_singletons():
-    net = NetworkModel(G=np.diag([0.3, 0.26, 0.28]),
-                       B=np.diag([-1.6, -1.4, -1.5]))
-    params = make_params(3)
-    params, op = construct_equilibrium([0.2, 0.3, 0.25], [1.05, 1.02, 1.04],
-                                       params, net)
-    lin = linearize(op, params, net)
-    bank = build_observer_bank(lin, cap=3)
-    assert set(bank) == {(1, ()), (2, ()), (3, ())}
-
-
-def test_bank_pairs_match_rank_test(desk5_lin):
-    bank = build_observer_bank(desk5_lin, cap=2)
-    for f in range(1, 6):
-        for h in range(1, 6):
-            if h == f:
-                continue
-            aug = augment((f, h), desk5_lin, f)
-            _, ok = kalman_rank(aug.A, aug.C, 1e-9)
-            assert ((f, (h,)) in bank) == ok
-
-
-def test_bank_covers_selection_outcomes(desk5_lin):
-    bank = build_observer_bank(desk5_lin, cap=5)
-    for f in range(1, 6):
-        plan = rftc_select(f, desk5_lin, 100.0, 50.0, j_max=np.inf)
-        if plan.mode != "augmentation":
-            continue
-        key = (f, tuple(sorted(plan.augment_set[1:])))
-        assert key in bank
-        assert bank[key].ids == plan.observer_spec.ids
-
-
-def test_select_reuses_bank_entries(desk5_lin):
-    bank = build_observer_bank(desk5_lin, cap=2)
-    plan = rftc_select(5, desk5_lin, 100.0, 50.0, j_max=20.0, bank=bank)
-    assert plan.observer_spec is bank[(5, (2,))]

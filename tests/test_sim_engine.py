@@ -11,6 +11,7 @@ from gridftc.power_model import (
     PlantModel,
     construct_equilibrium,
 )
+from gridftc.desk_models import data_path
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
     ControllerConfig,
@@ -21,6 +22,7 @@ from gridftc.sim_engine import (
     _attach_interaction_diagnostics,
     _grid_index,
     build_report,
+    load_scenario,
     measure,
     nominal_controller,
     pole_placement_gains,
@@ -100,6 +102,38 @@ def test_validate_fault_timeline(desk2):
                  ).validate()
     assert err.value.field == "faults[0].subsystem"
 
+
+
+def test_validate_rejects_a_second_merged_observer(desk5):
+    """A dead sensor on a second machine would replace the one merged
+    observer and freeze the first machine's estimate, so validation names
+    the fault that asks for it."""
+    dead5 = FaultEvent(t_fault=1.0, subsystem=5, kind="total-loss",
+                       fdi_delay=0.5)
+    dead3 = FaultEvent(t_fault=4.0, subsystem=3, kind="total-loss",
+                       fdi_delay=0.5)
+    stuck3 = FaultEvent(t_fault=4.0, subsystem=3, kind="stuck",
+                        fdi_delay=0.5)
+    for second in (dead3, stuck3):
+        scn = Scenario(plant=desk5, horizon=20.0, dt=1e-3,
+                       faults=(dead5, second))
+        with pytest.raises(ScenarioError) as err:
+            scn.validate()
+        assert err.value.field == "faults[1]"
+        with pytest.raises(ScenarioError):
+            run_scenario(scn)
+        # with reconfiguration off no observer is ever merged
+        Scenario(plant=desk5, horizon=20.0, dt=1e-3, faults=(dead5, second),
+                 reconfigure=False).validate()
+    # one merged machine plus virtual sensors elsewhere stays valid, and so
+    # does the shipped study's gain fault followed by a total loss on 5
+    gain3 = FaultEvent(t_fault=4.0, subsystem=3, kind="gain", factor=0.5,
+                       fdi_delay=0.2)
+    gain5 = FaultEvent(t_fault=0.5, subsystem=5, kind="gain", factor=0.4,
+                       fdi_delay=0.2)
+    for faults in ((dead5, gain3), (gain5, dead5), (dead5, dead5)):
+        Scenario(plant=desk5, horizon=20.0, dt=1e-3, faults=faults).validate()
+    load_scenario(data_path("desk5_scenario.json")).validate()
 
 def test_controller_config_checks(desk2):
     with pytest.raises(ScenarioError) as err:
