@@ -20,7 +20,6 @@ from .power_model import (
     verify_equilibrium,
     linearize,
     construct_equilibrium,
-    refine_equilibrium,
     load_plant,
     save_plant,
 )
@@ -41,10 +40,9 @@ from .observability import (
 )
 from .observer import (
     ChainForm,
-    ObserverState,
     to_chain_form,
-    observer_step,
-    gain_update,
+    chain_rk4,
+    gain_law,
     interaction_bound_estimate,
 )
 from .reconfig import (

@@ -172,7 +172,7 @@ def reference_scenario() -> dict:
              "sensor_row": 0, "fdi_delay": 1.0},
         ],
         "observer": {"l_mode": "self", "L_max": 1000.0,
-                     "initial_offset": 0.0, "shaping": "binomial"},
+                     "initial_offset": 0.0},
         "controller": {"gains": [[-0.003, -0.03, 0.0]] * 5},
         "weights": {"alpha": 100.0, "xi": 50.0},
         "j_max": 20.0,

@@ -38,6 +38,7 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EIG_TOL = 1e-7
 GRAMIAN_RESIDUAL_REL = 1e-10
+HURWITZ_REL_MARGIN = 1e-9
 
 
 class UnstableSystemError(ValueError):
@@ -328,9 +329,16 @@ def cascade_observable(A11, A12, A22, C1,
     return True, CascadeReason.OBSERVABLE
 
 
-def is_hurwitz(A, margin: float = 0.0) -> bool:
-    """True when every eigenvalue of A has real part below ``-margin``."""
-    return bool(np.max(np.linalg.eigvals(np.atleast_2d(A)).real) < -margin)
+def is_hurwitz(A) -> bool:
+    """True when every eigenvalue of A has real part below -1e-9 max(1, |A|_1).
+
+    The relative margin rejects a mode that is zero in exact arithmetic but
+    rounds to a tiny negative real part, such as the angle-rotation mode of
+    a subsystem set that covers a whole connected island.
+    """
+    A = np.atleast_2d(A)
+    margin = HURWITZ_REL_MARGIN * max(1.0, np.linalg.norm(A, 1))
+    return bool(np.max(np.linalg.eigvals(A).real) < -margin)
 
 
 def _lyap_with_refinement(AT: np.ndarray, Q: np.ndarray, target: float) -> np.ndarray:

@@ -4,13 +4,16 @@ A single-output observable system is transformed into chain coordinates
 (integrator chain plus a last-row remainder).  The observer corrects each
 chain state with powers of one adaptive gain L and treats the remainder and
 any interconnection terms as a bounded disturbance.
+
+:func:`chain_rk4` and :func:`gain_law` are the only observer step: the
+simulation engine advances its per-subsystem bank (a 2-D chain state) and
+the merged observer of an augmented set (a 1-D chain state) through them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +21,10 @@ from .observability import StateSpace, kalman_rank, obsv_matrix
 
 __all__ = [
     "ChainForm",
-    "ObserverState",
     "to_chain_form",
-    "gain_vector",
     "shaping_coefficients",
-    "observer_step",
-    "gain_update",
+    "chain_rk4",
+    "gain_law",
     "interaction_bound_estimate",
 ]
 
@@ -85,131 +86,44 @@ def to_chain_form(sub: StateSpace, tol: float = 1e-9) -> ChainForm:
                      input_chain=T @ sub.B)
 
 
-def shaping_coefficients(n: int, shaping: str = "binomial") -> np.ndarray:
+def shaping_coefficients(n: int) -> np.ndarray:
     """Per-row multipliers a_k applied to the gain powers L^k.
 
-    ``"binomial"`` places every frozen-gain observer pole at -L (coefficients
-    of (s + L)^n).  ``"literal"`` uses plain powers a_k = 1; note that for
-    n >= 3 the frozen-gain error polynomial then has all roots on the circle
-    of radius L (the non-unit (n+1)-th roots of unity scaled by L), so it is
-    never Hurwitz and the observer cannot converge.  It is kept selectable
-    for comparison runs only.
+    The binomial coefficients of (s + L)^n place every frozen-gain observer
+    pole at -L.
     """
-    if shaping == "binomial":
-        return np.array([math.comb(n, k) for k in range(1, n + 1)], dtype=float)
-    if shaping == "literal":
-        return np.ones(n)
-    raise ValueError(f"unknown gain shaping {shaping!r}")
+    return np.array([math.comb(n, k) for k in range(1, n + 1)], dtype=float)
 
 
-def gain_vector(L: float, coeffs: np.ndarray) -> np.ndarray:
-    """Correction gains [a_1 L, a_2 L^2, ..., a_n L^n]."""
-    n = coeffs.shape[0]
-    return coeffs * L ** np.arange(1, n + 1)
+def chain_rk4(Z, y, g, uch, dt):
+    """One RK4 step of chain-observer dynamics, batched over leading axes.
 
-
-@dataclass(frozen=True)
-class ObserverState:
-    """State of one adaptive observer, in chain coordinates.
-
-    ``l_value`` of ``None`` selects the self-normalizing gain law (the update
-    divides by the current gain); a positive float selects the constant-l
-    law.  ``shaping`` holds the per-row gain multipliers.
+    ``Z`` has shape (..., n_chain); the innovation uses the first chain
+    coordinate against the frozen measurement ``y``; ``g`` carries the
+    per-row correction gains ``a_k L^k`` and ``uch`` the chain-coordinate
+    input term.
     """
+    def rhs(z):
+        dz = uch + g * (y - z[..., 0])[..., None]
+        dz[..., :-1] += z[..., 1:]
+        return dz
 
-    x_hat: np.ndarray
-    L: float = 1.0
-    L_max: float = DEFAULT_L_MAX
-    l_value: Optional[float] = None
-    shaping: np.ndarray = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x_hat, dtype=float).ravel()
-        object.__setattr__(self, "x_hat", x)
-        if self.shaping is None:
-            object.__setattr__(self, "shaping", shaping_coefficients(x.size))
-        else:
-            object.__setattr__(
-                self, "shaping", np.asarray(self.shaping, dtype=float).ravel()
-            )
-        if self.shaping.size != x.size:
-            raise ValueError(
-                f"{self.shaping.size} shaping coefficients for {x.size} states"
-            )
-        if self.L < 1.0:
-            raise ValueError(f"gain L must be at least 1, got {self.L}")
-        if self.L > self.L_max:
-            raise ValueError(f"gain L={self.L} exceeds L_max={self.L_max}")
-        if self.l_value is not None and self.l_value <= 0.0:
-            raise ValueError(f"constant l must be positive, got {self.l_value}")
-
-    @property
-    def n(self) -> int:
-        return self.x_hat.size
+    k1 = rhs(Z)
+    k2 = rhs(Z + 0.5 * dt * k1)
+    k3 = rhs(Z + 0.5 * dt * k2)
+    k4 = rhs(Z + dt * k3)
+    return Z + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _observer_rhs(x_hat: np.ndarray, g: np.ndarray, y: float,
-                  u_chain: np.ndarray) -> np.ndarray:
-    dx = np.empty_like(x_hat)
-    dx[:-1] = x_hat[1:]
-    dx[-1] = 0.0
-    dx += u_chain
-    dx += g * (y - x_hat[0])
-    return dx
-
-
-def observer_step(obs: ObserverState, y_meas: float, u: Union[float, np.ndarray],
-                  dt: float, method: str = "rk4") -> ObserverState:
-    """Advance the estimate one step with the gain frozen.
-
-    ``u`` is the input already mapped into chain coordinates: a scalar acts on
-    the last chain row only (the plain chain-form case); a vector is applied
-    row-wise, which covers augmented systems whose input distribution does not
-    collapse onto the last row.  ``method`` is ``"rk4"`` or ``"euler"`` (the
-    latter is a single forward-Euler step, intended for tests).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not np.isfinite(y_meas):
-        raise ValueError(
-            "measurement is not finite; gate faulty sensors before stepping "
-            "the observer"
-        )
-    n = obs.n
-    u_chain = np.zeros(n)
-    if np.isscalar(u):
-        u_chain[-1] = float(u)
-    else:
-        u_arr = np.asarray(u, dtype=float).ravel()
-        if u_arr.size != n:
-            raise ValueError(f"chain input has {u_arr.size} entries, expected {n}")
-        u_chain = u_arr
-    g = gain_vector(obs.L, obs.shaping)
-    x = obs.x_hat
-    if method == "euler":
-        x_next = x + dt * _observer_rhs(x, g, y_meas, u_chain)
-    elif method == "rk4":
-        k1 = _observer_rhs(x, g, y_meas, u_chain)
-        k2 = _observer_rhs(x + 0.5 * dt * k1, g, y_meas, u_chain)
-        k3 = _observer_rhs(x + 0.5 * dt * k2, g, y_meas, u_chain)
-        k4 = _observer_rhs(x + dt * k3, g, y_meas, u_chain)
-        x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
-    return replace(obs, x_hat=x_next)
-
-
-def gain_update(obs: ObserverState, e1: float, dt: float) -> ObserverState:
+def gain_law(L, e1, dt, L_max, l_value=None):
     """Forward-Euler step of the gain law L' = e1^2 / l^2, capped at L_max.
 
-    With the self-normalizing law (``l_value`` unset) the divisor is the
-    current gain, so growth slows as L rises; the gain never decreases.
+    Without ``l_value`` the divisor l is the current gain (self-normalizing
+    law), so growth slows as L rises; the gain never decreases.  Works on
+    scalars and elementwise on arrays.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    l_div = obs.L if obs.l_value is None else obs.l_value
-    L_next = min(obs.L_max, obs.L + dt * e1 * e1 / (l_div * l_div))
-    return replace(obs, L=L_next)
+    l = L if l_value is None else l_value
+    return np.minimum(L_max, L + dt * ((e1 * e1) / (l * l)))
 
 
 def interaction_bound_estimate(traj, min_activity: float = 1e-9) -> np.ndarray:

@@ -46,7 +46,6 @@ __all__ = [
     "verify_equilibrium",
     "linearize",
     "construct_equilibrium",
-    "refine_equilibrium",
     "load_plant",
     "save_plant",
 ]
@@ -462,81 +461,6 @@ def construct_equilibrium(delta0, Eq_prime0, params: Sequence[GeneratorParams],
     Ef0 = Eq_prime0 + (xd - xdp) * Id
     new_params = [replace(p, Pm=float(Pe[i])) for i, p in enumerate(params)]
     op = OperatingPoint(delta0=delta0, Eq_prime0=Eq_prime0, Ef0=Ef0)
-    return new_params, op
-
-
-def refine_equilibrium(params: Sequence[GeneratorParams], net: NetworkModel,
-                       guess: OperatingPoint, tol: float = 1e-10,
-                       max_iter: int = 50):
-    """Damped Newton refinement of an operating point.
-
-    Holds the field voltages and all mechanical powers except machine 0's
-    fixed (machine 0 absorbs the power mismatch, the usual slack convention)
-    and solves for angles ``delta_1..delta_{n-1}`` relative to the fixed
-    reference ``delta_0`` plus all EMFs.  Returns ``(new_params, op)`` with
-    the slack machine's ``Pm`` replaced so the point is an exact equilibrium.
-    """
-    n = net.n
-    pa = _param_arrays(params)
-    Ef = guess.Ef0.copy()
-    ref = guess.delta0[0]
-
-    def residual(z):
-        delta = np.concatenate(([ref], z[: n - 1]))
-        E = z[n - 1 :]
-        op = OperatingPoint(delta0=delta, Eq_prime0=E, Ef0=Ef)
-        Id, Iq = currents(np.zeros((n, N_STATES)), op, net)
-        Pe = E * Iq
-        Eq = E + (pa["xd"] - pa["xdp"]) * Id
-        return np.concatenate([Pe[1:] - pa["Pm"][1:], Eq - Ef])
-
-    z = np.concatenate([guess.delta0[1:], guess.Eq_prime0])
-    r = residual(z)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
-            break
-        # forward-difference Jacobian; the system is small and smooth
-        h = 1e-7
-        J = np.empty((z.size, z.size))
-        for k in range(z.size):
-            zp = z.copy()
-            zp[k] += h
-            J[:, k] = (residual(zp) - r) / h
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise EquilibriumError(
-                f"Newton iteration hit a singular Jacobian: {exc}",
-                float(np.max(np.abs(r))),
-            ) from exc
-        lam = 1.0
-        base = np.max(np.abs(r))
-        while lam > 1e-6:
-            z_try = z + lam * step
-            r_try = residual(z_try)
-            if np.max(np.abs(r_try)) < base:
-                z, r = z_try, r_try
-                break
-            lam *= 0.5
-        else:
-            raise EquilibriumError(
-                "Newton iteration stalled: no damping factor reduced the "
-                f"residual below {base:.3e}",
-                base,
-            )
-    else:
-        raise EquilibriumError(
-            f"Newton iteration did not converge within {max_iter} steps, "
-            f"residual {np.max(np.abs(r)):.3e}",
-            float(np.max(np.abs(r))),
-        )
-
-    delta = np.concatenate(([ref], z[: n - 1]))
-    E = z[n - 1 :]
-    op = OperatingPoint(delta0=delta, Eq_prime0=E, Ef0=Ef)
-    Id, Iq = currents(np.zeros((n, N_STATES)), op, net)
-    new_params = list(params)
-    new_params[0] = replace(params[0], Pm=float(E[0] * Iq[0]))
     return new_params, op
 
 

@@ -10,7 +10,8 @@ Measurement convention
 Sensors report absolute rotor angles; the loop works in deviation
 coordinates, so every consumed measurement is the absolute reading minus
 the operating-point reference.  A healthy sensor thus yields the angle
-deviation exactly, while fault transforms act on the absolute signal:
+deviation exactly, while :func:`measure` applies the fault transforms to
+the absolute signal:
 
 * ``gain``       -- the reading is scaled, which injects the constant bias
   ``(factor - 1) * reference`` on top of a scaled deviation;
@@ -20,9 +21,6 @@ deviation exactly, while fault transforms act on the absolute signal:
   effective bias of minus the reference.
 
 These biases are what make the diagnosis delay visible in the state traces.
-The standalone :func:`measure` helper, by contrast, stays entirely in
-deviation coordinates (a dead sensor becomes NaN there); it is the pure
-output map, not the loop's signal path.
 
 Reconfiguration at the diagnosis instant
 ----------------------------------------
@@ -63,7 +61,13 @@ from scipy.linalg import block_diag
 from scipy.signal import place_poles
 
 from .observability import StateSpace
-from .observer import DEFAULT_L_MAX, shaping_coefficients, to_chain_form
+from .observer import (
+    DEFAULT_L_MAX,
+    chain_rk4 as _rk4_chain,
+    gain_law,
+    shaping_coefficients,
+    to_chain_form,
+)
 from .power_model import (
     N_STATES,
     PlantModel,
@@ -107,7 +111,6 @@ class ObserverConfig:
     l_value: Optional[float] = None
     L_max: float = DEFAULT_L_MAX
     initial_offset: float = 0.0
-    shaping: str = "binomial"
 
     def __post_init__(self):
         if self.l_mode not in ("self", "constant"):
@@ -119,9 +122,6 @@ class ObserverConfig:
                                     "constant mode needs a positive l_value")
         if not self.L_max >= 1.0:
             raise ScenarioError("observer.L_max", "must be at least 1")
-        if self.shaping not in ("binomial", "literal"):
-            raise ScenarioError("observer.shaping",
-                                f"must be 'binomial' or 'literal', got {self.shaping!r}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ class Scenario:
 
         obs_d = dict(d.get("observer", {}))
         for key in obs_d:
-            if key not in ("l_mode", "l_value", "L_max", "initial_offset", "shaping"):
+            if key not in ("l_mode", "l_value", "L_max", "initial_offset"):
                 raise ScenarioError(f"observer.{key}", "unknown observer field")
         observer = ObserverConfig(**obs_d)
 
@@ -319,8 +319,7 @@ class Scenario:
             "faults": [f.to_dict() for f in self.faults],
             "observer": {"l_mode": obs.l_mode, "l_value": obs.l_value,
                          "L_max": obs.L_max,
-                         "initial_offset": obs.initial_offset,
-                         "shaping": obs.shaping},
+                         "initial_offset": obs.initial_offset},
             "controller": controller,
             "weights": {"alpha": self.alpha, "xi": self.xi},
             "j_max": self.j_max,
@@ -432,31 +431,27 @@ def nominal_controller(xhat, gains, u0) -> np.ndarray:
     return u0 - np.einsum("ij,ij->i", gains, xhat)
 
 
-def measure(state, active_faults: Sequence[FaultEvent] = (),
-            held: Optional[dict] = None) -> np.ndarray:
-    """Pure per-subsystem output map in deviation coordinates.
+def measure(readings, active: Sequence[tuple] = ()) -> np.ndarray:
+    """Absolute sensor readings as the faulty sensors report them.
 
-    Returns the angle-deviation reading of every subsystem with fault
-    transforms applied row-wise: gain faults scale the reading, stuck faults
-    hold the value supplied through ``held`` (keyed by the fault event),
-    total losses invalidate the reading (NaN).
+    ``readings`` holds the healthy absolute angle reading of every
+    subsystem and ``active`` the active faults as ``(FaultEvent, held)``
+    pairs, applied in order: a gain fault scales the reading, a stuck fault
+    replaces it with ``held`` and a total loss reads 0.  A gain fault listed
+    twice scales twice.  Returns a new array.
     """
-    x = np.asarray(state, dtype=float)
-    if x.ndim != 2 or x.shape[1] != N_STATES:
-        raise ValueError(f"state shape {x.shape} != (n, {N_STATES})")
-    y = x[:, 0].copy()
-    for f in active_faults:
-        idx = f.subsystem - 1
-        if not 0 <= idx < x.shape[0]:
-            raise ValueError(f"fault subsystem {f.subsystem} outside 1..{x.shape[0]}")
+    y = np.array(readings, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"readings shape {y.shape} is not one reading per "
+                         "subsystem")
+    for f, held in active:
+        i = f.subsystem - 1
         if f.kind == "gain":
-            y[idx] *= f.factor
+            y[i] *= f.factor
         elif f.kind == "stuck":
-            if held is None or f not in held:
-                raise ValueError("stuck fault needs its held value")
-            y[idx] = held[f]
+            y[i] = held
         else:  # total-loss
-            y[idx] = math.nan
+            y[i] = 0.0
     return y
 
 
@@ -469,30 +464,12 @@ def _grid_index(t: float, dt: float) -> int:
     return int(math.ceil(ratio))
 
 
-def _rk4_chain(Z, y, g, uch, dt):
-    """One RK4 step of chain-observer dynamics, batched over leading axes.
-
-    ``Z`` has shape (..., n_chain); the innovation uses the first chain
-    coordinate against the frozen measurement ``y``; ``g`` carries the
-    per-row correction gains and ``uch`` the chain-coordinate input term.
-    """
-    def rhs(z):
-        dz = uch + g * (y - z[..., 0])[..., None]
-        dz[..., :-1] += z[..., 1:]
-        return dz
-
-    k1 = rhs(Z)
-    k2 = rhs(Z + 0.5 * dt * k1)
-    k3 = rhs(Z + 0.5 * dt * k2)
-    k4 = rhs(Z + dt * k3)
-    return Z + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 class _MergedObserver:
     """Runtime state of the augmented-set chain observer.
 
     ``dead`` holds the 1-based ids whose sensors are switched off when the
     observer starts; their readings get weight zero in the measurement.
+    The gain adaptation restarts at L = 1.
     """
 
     def __init__(self, spec, faulty_id: int, xhat_members: np.ndarray,
@@ -502,17 +479,24 @@ class _MergedObserver:
         self.idx = np.array(spec.ids) - 1
         self.faulty_id = faulty_id
         self.chain = spec.chain
-        self.n = self.chain.n
-        self.coeffs = None      # set by the engine (shared shaping mode)
-        self.powers = np.arange(1, self.n + 1, dtype=float)
+        n = self.chain.n
+        self.coeffs = shaping_coefficients(n)
+        self.powers = np.arange(1, n + 1, dtype=float)
         self.z = self.chain.T @ xhat_members
-        self.L = 1.0            # the adaptation law restarts at its initial value
+        self.L = 1.0
         self.faulty_slice = spec.index_map[faulty_id]
         self.weights = np.where([sid in dead for sid in spec.ids], 0.0,
                                 spec.output_weights)
 
-    def measurement(self, y_used: np.ndarray) -> float:
-        return float(self.weights @ y_used[self.idx])
+    def step(self, y_used: np.ndarray, u_dev: np.ndarray, dt: float,
+             L_max: float, l_value: Optional[float]) -> None:
+        """Advance the estimate and the gain one grid step."""
+        y = float(self.weights @ y_used[self.idx])
+        uch = self.chain.input_chain @ u_dev[self.idx]
+        g = self.coeffs * self.L ** self.powers
+        e1 = y - self.z[0]
+        self.z = _rk4_chain(self.z, y, g, uch, dt)
+        self.L = gain_law(self.L, e1, dt, L_max, l_value)
 
     def estimates(self) -> np.ndarray:
         return self.chain.T_inv @ self.z
@@ -550,7 +534,7 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     Tn = np.stack([c.T for c in chains])
     Tn_inv = np.stack([c.T_inv for c in chains])
     ICn = np.stack([c.input_chain.ravel() for c in chains])
-    coeffs = shaping_coefficients(N_STATES, scn.observer.shaping)
+    coeffs = shaping_coefficients(N_STATES)
     powers = np.arange(1, N_STATES + 1, dtype=float)
     xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
     Z = np.einsum("nij,nj->ni", Tn, xhat0)
@@ -561,7 +545,6 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     l_const = scn.observer.l_value if scn.observer.l_mode == "constant" else None
 
     merged: Optional[_MergedObserver] = None
-    merged_coeffs_cache: dict = {}
     vs_gain: dict = {}          # 0-based subsystem -> modeled gain factor
     dead_sensors: set = set()   # 1-based ids switched off by augmentation
 
@@ -643,11 +626,6 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
                                                for mid in spec.ids])
                         dead_sensors.add(sid)
                         merged = _MergedObserver(spec, sid, xcat, dead_sensors)
-                        key = merged.n
-                        if key not in merged_coeffs_cache:
-                            merged_coeffs_cache[key] = shaping_coefficients(
-                                key, scn.observer.shaping)
-                        merged.coeffs = merged_coeffs_cache[key]
                         nominal_active[sid - 1] = False
                         all_nominal = False
                         vs_gain.pop(sid - 1, None)
@@ -658,15 +636,8 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
         y_abs = delta0 + x[:, 0]
         if noise_amp > 0.0:
             y_abs = y_abs + noise_amp * (2.0 * rng.random(n) - 1.0)
-        for fr in faults_rt:
-            if fr.applied:
-                i = fr.ev.subsystem - 1
-                if fr.ev.kind == "gain":
-                    y_abs[i] *= fr.ev.factor
-                elif fr.ev.kind == "stuck":
-                    y_abs[i] = fr.held
-                else:
-                    y_abs[i] = 0.0
+        y_abs = measure(y_abs, [(fr.ev, fr.held) for fr in faults_rt
+                                if fr.applied])
         prev_abs = y_abs
         y_dev = y_abs - y_ref
         y_used = y_dev.copy()
@@ -710,11 +681,7 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
         g = coeffs * Lg[:, None] ** powers
         uch = ICn * u_dev[:, None]
         Z_next = _rk4_chain(Z, y_used, g, uch, dt)
-        if l_const is not None:
-            growth = (e1 * e1) / (l_const * l_const)
-        else:
-            growth = (e1 * e1) / (Lg * Lg)
-        Lg_next = np.minimum(L_max, Lg + dt * growth)
+        Lg_next = gain_law(Lg, e1, dt, L_max, l_const)
         if all_nominal:
             Z, Lg = Z_next, Lg_next
         else:
@@ -723,13 +690,7 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
 
         # --- merged observer step -------------------------------------------
         if merged is not None:
-            y_m = merged.measurement(y_used)
-            uch_m = merged.chain.input_chain @ u_dev[merged.idx]
-            g_m = merged.coeffs * merged.L ** merged.powers
-            e1_m = y_m - merged.z[0]
-            merged.z = _rk4_chain(merged.z, y_m, g_m, uch_m, dt)
-            l_m = l_const if l_const is not None else merged.L
-            merged.L = min(L_max, merged.L + dt * e1_m * e1_m / (l_m * l_m))
+            merged.step(y_used, u_dev, dt, L_max, l_const)
 
         # --- plant step -------------------------------------------------------
         k1 = _rhs_core(x, u_abs, rhs_k)

@@ -304,3 +304,38 @@ def numeric_observable_ix(aug, tol, cascade_observable, kalman_rank):
                                        aug.A[np.ix_(f_idx, f_idx)], C1, tol)
             return ok
     return kalman_rank(aug.A, aug.C, tol)[1]
+
+
+def chain_step_loops(z, y, g, uch, dt, L, L_max, l_value=None):
+    """One RK4 step of one chain observer, then one Euler step of its gain.
+
+    Row by row on Python floats, with ``y`` and the gains ``g`` frozen:
+    ``z_k' = uch_k + g_k (y - z_1) + z_{k+1}`` (the last row has no
+    ``z_{k+1}``), and ``L' = (y - z_1)^2 / l^2`` with ``l = L`` unless
+    ``l_value`` is given, capped at ``L_max``.  Returns ``(z_next, L_next)``.
+    """
+    n = len(z)
+    z = [float(v) for v in z]
+    g = [float(v) for v in g]
+    uch = [float(v) for v in uch]
+    y = float(y)
+
+    def rhs(v):
+        out = []
+        for k in range(n):
+            d = uch[k] + g[k] * (y - v[0])
+            if k + 1 < n:
+                d = d + v[k + 1]
+            out.append(d)
+        return out
+
+    k1 = rhs(z)
+    k2 = rhs([z[k] + 0.5 * dt * k1[k] for k in range(n)])
+    k3 = rhs([z[k] + 0.5 * dt * k2[k] for k in range(n)])
+    k4 = rhs([z[k] + dt * k3[k] for k in range(n)])
+    z_next = [z[k] + (dt / 6.0) * (k1[k] + 2.0 * (k2[k] + k3[k]) + k4[k])
+              for k in range(n)]
+    e1 = y - z[0]
+    l = L if l_value is None else l_value
+    L_next = min(L_max, L + dt * ((e1 * e1) / (l * l)))
+    return z_next, L_next

@@ -1,17 +1,17 @@
-"""Chain transform, adaptive-gain stepping, interaction diagnostics."""
+"""Chain transform, the chain-observer step and gain law, interaction
+diagnostics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as orc
 from gridftc.observability import StateSpace
 from gridftc.observer import (
-    ChainForm,
-    ObserverState,
-    gain_update,
-    gain_vector,
+    DEFAULT_L_MAX,
+    chain_rk4,
+    gain_law,
     interaction_bound_estimate,
-    observer_step,
     shaping_coefficients,
     to_chain_form,
 )
@@ -69,39 +69,69 @@ def test_chain_form_rejects_multi_output():
 
 
 def test_shaping_modes():
-    assert np.array_equal(shaping_coefficients(3, "binomial"), [3.0, 3.0, 1.0])
-    assert np.array_equal(shaping_coefficients(3, "literal"), [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="shaping"):
-        shaping_coefficients(3, "other")
-    assert np.array_equal(gain_vector(2.0, np.array([3.0, 3.0, 1.0])),
-                          [6.0, 12.0, 8.0])
+    assert np.array_equal(shaping_coefficients(3), [3.0, 3.0, 1.0])
+    assert np.array_equal(shaping_coefficients(5), [5.0, 10.0, 10.0, 5.0, 1.0])
 
 
 # ----------------------------------------------------------- observer step
 
 
 def test_step_zero_innovation_fixed_point():
-    obs = ObserverState(x_hat=np.zeros(3))
-    out = observer_step(obs, y_meas=0.0, u=0.0, dt=0.01)
-    assert np.array_equal(out.x_hat, np.zeros(3))
+    g = shaping_coefficients(3) * 2.0 ** np.arange(1, 4)
+    out = chain_rk4(np.zeros(3), 0.0, g, np.zeros(3), 0.01)
+    assert np.array_equal(out, np.zeros(3))
 
 
-def test_step_single_state_euler():
-    obs = ObserverState(x_hat=np.zeros(1), L=2.0)
-    out = observer_step(obs, y_meas=1.0, u=0.0, dt=0.1, method="euler")
-    assert out.x_hat[0] == pytest.approx(0.2, abs=1e-15)
+def test_step_single_state_rk4():
+    # z' = g (y - z) from z = 0: RK4 multiplies the error by the degree-4
+    # Taylor polynomial of exp(-g dt)
+    h = 2.0 * 0.1
+    out = chain_rk4(np.zeros(1), 1.0, np.array([2.0]), np.zeros(1), 0.1)
+    assert out[0] == pytest.approx(1.0 - (1 - h + h**2 / 2 - h**3 / 6
+                                          + h**4 / 24), abs=1e-15)
 
 
-def test_step_rejects_nonfinite_measurement():
-    obs = ObserverState(x_hat=np.zeros(2))
-    with pytest.raises(ValueError, match="not finite"):
-        observer_step(obs, y_meas=float("nan"), u=0.0, dt=0.01)
+def _chain_case(rng, shape, n, m, l_mode, capped):
+    """Random chain-step arguments for a merged (1-D) or bank (2-D) state."""
+    lead = () if shape == "merged" else (m,)
+    Z = rng.uniform(-2.0, 2.0, lead + (n,))
+    y = rng.uniform(-2.0, 2.0, lead)
+    L = rng.uniform(1.0, 20.0, lead)
+    uch = rng.uniform(-1.0, 1.0, lead + (n,))
+    dt = float(rng.uniform(1e-4, 0.05))
+    l_value = float(rng.uniform(0.5, 3.0)) if l_mode == "constant" else None
+    if shape == "merged":
+        y, L = float(y), float(L)
+    e1 = y - Z[..., 0]
+    l = L if l_value is None else l_value
+    L_max = 1e3
+    if capped:  # halfway to the first uncapped update: the cap is reached
+        L_max = float(np.ravel(L + 0.5 * dt * ((e1 * e1) / (l * l)))[0])
+    return Z, y, L, uch, dt, L_max, l_value
 
 
-def test_step_rejects_bad_dt():
-    obs = ObserverState(x_hat=np.zeros(2))
-    with pytest.raises(ValueError, match="dt"):
-        observer_step(obs, y_meas=0.0, u=0.0, dt=0.0)
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(shape=st.sampled_from(["merged", "bank"]), n=st.integers(1, 9),
+       m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       l_mode=st.sampled_from(["self", "constant"]), capped=st.booleans())
+def test_chain_step_matches_loop_oracle(shape, n, m, seed, l_mode, capped):
+    rng = np.random.default_rng(seed)
+    Z, y, L, uch, dt, L_max, l_value = _chain_case(rng, shape, n, m, l_mode,
+                                                   capped)
+    g = shaping_coefficients(n) * np.asarray(L)[..., None] \
+        ** np.arange(1, n + 1, dtype=float)
+    Z_next = chain_rk4(Z, y, g, uch, dt)
+    L_next = gain_law(L, y - Z[..., 0], dt, L_max, l_value)
+    assert Z_next.shape == Z.shape and np.shape(L_next) == np.shape(L)
+    rows = [(Z, y, g, uch, L, Z_next, L_next)] if shape == "merged" else \
+        zip(Z, y, g, uch, L, Z_next, L_next)
+    for z, yr, gr, ur, Lr, z_next, L_row in rows:
+        ref_z, ref_L = orc.chain_step_loops(z, yr, gr, ur, dt, float(Lr),
+                                            L_max, l_value)
+        assert np.asarray(ref_z).tobytes() == z_next.tobytes()
+        assert float(L_row) == ref_L
+    if capped:
+        assert np.ravel(L_next)[0] == L_max
 
 
 def test_desk2_convergence_with_random_offsets(desk2, rng):
@@ -111,23 +141,25 @@ def test_desk2_convergence_with_random_offsets(desk2, rng):
                                        B=lin.Bsub[i].reshape(3, 1),
                                        C=lin.Csub[i]))
               for i in range(2)]
+    coeffs = shaping_coefficients(3)
+    powers = np.arange(1, 4, dtype=float)
+    no_input = np.zeros((2, 3))
     pa = desk2.generators
     dt = 1e-3
     for _ in range(3):
         x = np.zeros((2, 3))
         offs = rng.uniform(-1.0, 1.0, (2, 3))
         offs /= max(1.0, np.max(np.abs(offs)))
-        obs = [ObserverState(x_hat=chains[i].to_chain(offs[i]))
-               for i in range(2)]
+        Z = np.stack([chains[i].to_chain(offs[i]) for i in range(2)])
+        L = np.ones(2)
         u0 = desk2.op.Ef0
         L_hist = []
         for k in range(20000):
             y = x[:, 0]
-            for i in range(2):
-                e1 = y[i] - obs[i].x_hat[0]
-                obs[i] = observer_step(obs[i], y[i], 0.0, dt)
-                obs[i] = gain_update(obs[i], e1, dt)
-            L_hist.append([o.L for o in obs])
+            e1 = y - Z[:, 0]
+            Z = chain_rk4(Z, y, coeffs * L[:, None] ** powers, no_input, dt)
+            L = gain_law(L, e1, dt, DEFAULT_L_MAX)
+            L_hist.append(L)
             k1 = derivatives(x, u0, pa, desk2.op, desk2.network)
             k2 = derivatives(x + 0.5 * dt * k1, u0, pa, desk2.op,
                              desk2.network)
@@ -135,44 +167,36 @@ def test_desk2_convergence_with_random_offsets(desk2, rng):
                              desk2.network)
             k4 = derivatives(x + dt * k3, u0, pa, desk2.op, desk2.network)
             x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        err = max(np.max(np.abs(x[i] - chains[i].from_chain(obs[i].x_hat)))
+        err = max(np.max(np.abs(x[i] - chains[i].from_chain(Z[i])))
                   for i in range(2))
         assert err < 1e-2
         L_hist = np.asarray(L_hist)
         assert np.all(np.diff(L_hist, axis=0) >= 0.0)
 
 
-# -------------------------------------------------------------- gain update
+# ---------------------------------------------------------------- gain law
 
 
 def test_gain_update_zero_innovation():
-    obs = ObserverState(x_hat=np.zeros(3), L=2.5)
-    assert gain_update(obs, 0.0, 0.1).L == 2.5
+    assert gain_law(2.5, 0.0, 0.1, DEFAULT_L_MAX) == 2.5
 
 
 def test_gain_update_direct_value():
-    obs = ObserverState(x_hat=np.zeros(3), L=1.0)
-    assert gain_update(obs, 1.0, 0.1).L == pytest.approx(1.1, abs=1e-15)
+    assert gain_law(1.0, 1.0, 0.1, DEFAULT_L_MAX) == pytest.approx(1.1,
+                                                                   abs=1e-15)
 
 
 def test_gain_update_constant_l_mode():
-    obs = ObserverState(x_hat=np.zeros(3), L=1.0, l_value=2.0)
-    assert gain_update(obs, 1.0, 0.1).L == pytest.approx(1.025, abs=1e-15)
+    assert gain_law(1.0, 1.0, 0.1, DEFAULT_L_MAX, l_value=2.0) \
+        == pytest.approx(1.025, abs=1e-15)
 
 
 def test_gain_saturates_at_cap():
-    obs = ObserverState(x_hat=np.zeros(2), L=1.0, L_max=10.0, l_value=1.0)
+    L = 1.0
     for _ in range(200):
-        obs = gain_update(obs, 1.0, 0.1)
-    assert obs.L == 10.0
-    assert gain_update(obs, 1.0, 0.1).L == 10.0
-
-
-def test_observer_state_validation():
-    with pytest.raises(ValueError, match="at least 1"):
-        ObserverState(x_hat=np.zeros(2), L=0.5)
-    with pytest.raises(ValueError, match="L_max"):
-        ObserverState(x_hat=np.zeros(2), L=5.0, L_max=2.0)
+        L = gain_law(L, 1.0, 0.1, 10.0, l_value=1.0)
+    assert L == 10.0
+    assert gain_law(L, 1.0, 0.1, 10.0, l_value=1.0) == 10.0
 
 
 # ------------------------------------------------------ interaction bounds

@@ -18,6 +18,7 @@ from gridftc.reconfig import (
     virtual_sensor,
 )
 from test_power_model import make_params
+from test_screening_equivalence import coupled_plant
 
 
 def symmetric_triangle():
@@ -224,6 +225,15 @@ def test_select_unrecoverable_on_decoupled_plant():
     assert plan.mode == "unrecoverable"
     assert plan.augment_set is None
     assert all(not r.observable for r in plan.candidates)
+
+
+def test_select_rejects_island_rotation_mode():
+    # Set (2, 1) covers a whole connected island; its exact zero rotation
+    # eigenvalue rounds to about -1e-16 and must not pass as stable.
+    plan = rftc_select(2, coupled_plant(3, 2, 0.25), 100.0, 50.0,
+                       j_max=np.inf)
+    reasons = {c.candidate: c.reason for c in plan.candidates}
+    assert reasons[(2, 1)] == "merged state matrix is not Hurwitz"
 
 
 def test_select_rejects_unknown_subsystem(desk5_lin):

@@ -146,23 +146,13 @@ def _oracle_search(*args, **kwargs):
         return rftc_select(*args, **kwargs)
 
 
-def _outcome(search, *args, **kwargs):
-    """The plan's dict, or the error both searches must raise alike: the
-    rotation eigenvalue of a whole island can round to -1e-16, pass the
-    stability screen and make the Gramian solve fail."""
-    try:
-        return search(*args, **kwargs).to_dict()
-    except RuntimeError as exc:
-        return repr(exc)
-
-
 @SEARCH
 @given(data=st.data(), lin=plants,
        j_max=st.sampled_from([0.0, np.inf]))
 def test_select_plans_match_oracle_search(data, lin, j_max):
     faulty = data.draw(st.integers(1, lin.n))
-    got = _outcome(rftc_select, faulty, lin, 100.0, 50.0, j_max=j_max)
-    ref = _outcome(_oracle_search, faulty, lin, 100.0, 50.0, j_max=j_max)
+    got = rftc_select(faulty, lin, 100.0, 50.0, j_max=j_max).to_dict()
+    ref = _oracle_search(faulty, lin, 100.0, 50.0, j_max=j_max).to_dict()
     assert got == ref
-    if j_max == 0.0 and isinstance(got, dict):
+    if j_max == 0.0:
         assert len(got["candidates"]) == 2 ** (lin.n - 1) - 1

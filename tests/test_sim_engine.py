@@ -163,9 +163,6 @@ def test_observer_config_checks():
     with pytest.raises(ScenarioError) as err:
         ObserverConfig(L_max=0.5)
     assert err.value.field == "observer.L_max"
-    with pytest.raises(ScenarioError) as err:
-        ObserverConfig(shaping="chebyshev")
-    assert err.value.field == "observer.shaping"
 
 
 def test_from_dict_rejects_unknown_fields(desk5):
@@ -204,23 +201,27 @@ def test_dict_round_trip(desk5):
 
 
 def test_measure_plain_and_faulted(rng):
-    x = rng.standard_normal((3, 3))
-    assert np.array_equal(measure(x), x[:, 0])
+    y = rng.uniform(0.1, 1.0, 3)
+    out = measure(y)
+    assert np.array_equal(out, y) and out is not y
 
     gain = FaultEvent(t_fault=0.0, subsystem=2, kind="gain", factor=0.5,
                       fdi_delay=0.0)
-    y = measure(x, [gain])
-    assert y[1] == 0.5 * x[1, 0] and y[0] == x[0, 0]
+    out = measure(y, [(gain, None)])
+    assert out[1] == 0.5 * y[1] and out[0] == y[0] and out[2] == y[2]
+    # equal events hash alike, yet each listed pair applies once more
+    twice = FaultEvent(t_fault=0.0, subsystem=2, kind="gain", factor=0.5,
+                       fdi_delay=0.0)
+    assert twice == gain
+    assert measure(y, [(gain, None), (twice, None)])[1] == y[1] * 0.5 * 0.5
 
     stuck = FaultEvent(t_fault=0.0, subsystem=1, kind="stuck", fdi_delay=0.0)
-    y = measure(x, [stuck], held={stuck: 0.77})
-    assert y[0] == 0.77
-    with pytest.raises(ValueError, match="held"):
-        measure(x, [stuck])
+    assert measure(y, [(stuck, 0.77)])[0] == 0.77
 
     dead = FaultEvent(t_fault=0.0, subsystem=3, kind="total-loss",
                       fdi_delay=0.0)
-    assert np.isnan(measure(x, [dead])[2])
+    out = measure(y, [(gain, None), (dead, y[2])])
+    assert out[2] == 0.0 and out[1] == 0.5 * y[1]
 
     with pytest.raises(ValueError, match="shape"):
         measure(np.zeros((3, 2)))
