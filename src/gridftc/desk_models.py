@@ -191,7 +191,14 @@ def data_path(name: str):
 
 
 def _regenerate_data(target_dir) -> None:
-    """Rewrite the shipped JSON data files from the builders above."""
+    """Rewrite the shipped JSON data files from the builders above.
+
+    Regeneration is not bit-exact: the equilibrium solve rounds differently
+    from the one the shipped ``desk5_plant.json`` came from, so some ``Pm``
+    and ``Ef0`` entries differ in the last digits (relative error below
+    1e-14).  Writing over the shipped files changes every byte of the
+    shipped study's trajectory.
+    """
     from pathlib import Path
 
     from .power_model import save_plant

@@ -3,7 +3,10 @@
 Covers the numeric Kalman rank test, a graph-based structural test, a
 three-condition test for one-directional cascades, Lyapunov-equation
 observability Gramians with an iterative-refinement residual guarantee, and
-the H2-based cost used to rank sensor-substitution candidates.
+the H2-based cost used to rank sensor-substitution candidates.  The screens
+(``obsv_matrix``, ``kalman_rank``, ``structurally_observable`` and
+``is_hurwitz``) also take stacks of systems on leading axes and answer each
+one as a 2-D call would.
 """
 
 from __future__ import annotations
@@ -88,7 +91,11 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class ZeroPattern:
-    """Structural nonzero patterns of a state matrix and output matrix."""
+    """Structural nonzero patterns of a state matrix and output matrix.
+
+    ``A`` is (..., n, n) and ``C`` is (..., p, n); leading axes stack
+    patterns of the same size.
+    """
 
     A: np.ndarray
     C: np.ndarray
@@ -96,11 +103,12 @@ class ZeroPattern:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=bool)
         C = np.atleast_2d(np.asarray(self.C, dtype=bool))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
             raise ValueError(f"pattern A must be square, got {A.shape}")
-        if C.shape[1] != A.shape[0]:
+        if C.shape[-1] != A.shape[-1]:
             raise ValueError(
-                f"pattern C has {C.shape[1]} columns, A is {A.shape[0]}x{A.shape[0]}"
+                f"pattern C has {C.shape[-1]} columns, A is "
+                f"{A.shape[-1]}x{A.shape[-1]}"
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
@@ -143,24 +151,36 @@ class CostReport:
         }
 
 
-def _num_rank(M: np.ndarray, tol: float) -> int:
+def _scalar_or_stack(value: np.ndarray, kind):
+    """A 0-d result as a Python scalar, a stacked one as it is."""
+    return kind(value) if value.ndim == 0 else value
+
+
+def _num_rank(M: np.ndarray, tol: float) -> np.ndarray:
+    """Singular values above ``tol`` times the largest, per matrix of a
+    (..., rows, cols) stack; an all-zero matrix has rank 0."""
     if M.size == 0:
-        return 0
+        return np.zeros(M.shape[:-2], dtype=int)
     s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    # When s[0] is 0 every singular value is, and none exceeds tol * 0.
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def obsv_matrix(A, C) -> np.ndarray:
-    """Stacked observability matrix [C; CA; ...; CA^(n-1)]."""
+    """Stacked observability matrix [C; CA; ...; CA^(n-1)].
+
+    ``A`` is (..., n, n) and ``C`` is (..., p, n) (or one row of n); leading
+    axes broadcast, and each matrix of a stack gets the same products in the
+    same order as a 2-D call.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n, p = A.shape[0], C.shape[0]
-    O = np.empty((n * p, C.shape[1]))
-    O[:p] = C
+    n, p = A.shape[-1], C.shape[-2]
+    batch = np.broadcast_shapes(A.shape[:-2], C.shape[:-2])
+    O = np.empty(batch + (n * p, C.shape[-1]))
+    O[..., :p, :] = C
     for k in range(p, n * p, p):
-        np.matmul(O[k - p:k], A, out=O[k:k + p])
+        np.matmul(O[..., k - p:k, :], A, out=O[..., k:k + p, :])
     return O
 
 
@@ -169,34 +189,37 @@ def kalman_rank(A, C, tol: float = DEFAULT_RANK_TOL):
 
     Returns ``(rank, observable)`` where the rank is the number of singular
     values of the observability matrix above ``tol`` relative to the largest.
+    A 2-D call returns ``(int, bool)``; stacked ``A`` (..., n, n) and ``C``
+    (..., p, n) give one array of each over the leading axes.
     """
     if tol <= 0.0:
         raise ValueError(f"rank tolerance must be positive, got {tol}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    O = obsv_matrix(A, C)
-    rank = _num_rank(O, tol)
-    return rank, rank == A.shape[0]
+    rank = _num_rank(obsv_matrix(A, C), tol)
+    return (_scalar_or_stack(rank, int),
+            _scalar_or_stack(rank == A.shape[-1], bool))
 
 
-def structurally_observable(pattern: ZeroPattern) -> bool:
+def structurally_observable(pattern: ZeroPattern):
     """Output connectivity on the influence digraph.
 
     State ``j`` influences state ``i`` when ``A[i, j]`` is structurally
     nonzero; a state is measured when some output row touches it.  The system
     is structurally observable only if every state reaches a measured state
     along influence edges.  This is a necessary condition: it ignores
-    numerical cancellation entirely.
+    numerical cancellation entirely.  A 2-D pattern gives a ``bool``, a
+    stacked one a boolean array over its leading axes.
     """
     # Information flows from state j to every state i with A[i, j] nonzero,
     # so the states that reach an output are found by walking rows backwards
     # from the measured states, one whole frontier at a time (a boolean
     # vector-matrix product is the OR over the frontier's rows).
-    reached = pattern.C.any(axis=0)
+    reached = pattern.C.any(axis=-2)
     frontier = reached
     while frontier.any():
-        frontier = (frontier @ pattern.A) & ~reached
+        frontier = (frontier[..., None, :] @ pattern.A)[..., 0, :] & ~reached
         reached = reached | frontier
-    return bool(reached.all())
+    return _scalar_or_stack(reached.all(axis=-1), bool)
 
 
 def adjugate_coeffs(A: np.ndarray) -> np.ndarray:
@@ -329,16 +352,20 @@ def cascade_observable(A11, A12, A22, C1,
     return True, CascadeReason.OBSERVABLE
 
 
-def is_hurwitz(A) -> bool:
+def is_hurwitz(A):
     """True when every eigenvalue of A has real part below -1e-9 max(1, |A|_1).
 
     The relative margin rejects a mode that is zero in exact arithmetic but
     rounds to a tiny negative real part, such as the angle-rotation mode of
-    a subsystem set that covers a whole connected island.
+    a subsystem set that covers a whole connected island.  A 2-D ``A`` gives
+    a ``bool``; a (..., n, n) stack gives a boolean array, with each
+    matrix's own norm as its margin.
     """
     A = np.atleast_2d(A)
-    margin = HURWITZ_REL_MARGIN * max(1.0, np.linalg.norm(A, 1))
-    return bool(np.max(np.linalg.eigvals(A).real) < -margin)
+    margin = HURWITZ_REL_MARGIN * np.maximum(
+        1.0, np.linalg.norm(A, 1, axis=(-2, -1)))
+    worst = np.linalg.eigvals(A).real.max(axis=-1)
+    return _scalar_or_stack(worst < -margin, bool)
 
 
 def _lyap_with_refinement(AT: np.ndarray, Q: np.ndarray, target: float) -> np.ndarray:

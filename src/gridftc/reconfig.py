@@ -5,7 +5,8 @@ measurement vector is rebuilt from the surviving rows plus the observer
 estimate (virtual sensor).  When observability is lost outright, the faulty
 subsystem is merged with neighbours until the merged system is observable
 from the neighbours' sensors; candidate sets are screened structurally,
-numerically and for stability, then ranked by a Gramian-based cost.
+numerically and for stability, a stack of sets per screen call, then ranked
+by a Gramian-based cost.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ FAULT_KINDS = ("gain", "stuck", "total-loss")
 MODE_VIRTUAL_SENSOR = "virtual-sensor"
 MODE_AUGMENTATION = "augmentation"
 MODE_UNRECOVERABLE = "unrecoverable"
+
+# Bytes of stacked observability matrices per screened stack of candidate
+# sets.  A set of m members with p outputs each needs 8 (3m)^2 pm bytes
+# (72 kB at m = 10, p = 1), so a cardinality is cut into as many stacks as
+# this budget needs, whatever the plant size.
+SCREEN_STACK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,40 @@ class AugmentedSystem:
         return self.A.shape[0]
 
 
+def _dead_rows(faulty_rows: Optional[Sequence[int]], p: int,
+               faulty_id: int) -> list:
+    """The faulty member's zeroed output rows (default: all ``p``)."""
+    rows = list(range(p) if faulty_rows is None else faulty_rows)
+    for r in rows:
+        if not 0 <= r < p:
+            raise ValueError(
+                f"faulty row {r} out of range for subsystem {faulty_id}"
+            )
+    return rows
+
+
+def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int, dead: list):
+    """``(A, B, C, C_healthy)`` stacks of merged candidate sets.
+
+    Row ``k`` of ``sub`` lists one set's 0-based members; their states,
+    inputs and output rows are laid out member by member in that order, as
+    rows and columns of the cached full-plant matrices picked by one fancy
+    index each.  ``C`` is ``C_healthy`` with rows ``dead`` of member
+    ``fpos`` zeroed.
+    """
+    K, m = sub.shape
+    n, p = lin.n, lin.Csub.shape[1]
+    idx = lin.state_index()[sub].reshape(K, N_STATES * m)
+    A = lin.full_matrix()[idx[:, :, None], idx[:, None, :]]
+    B = lin.full_input()[idx[:, :, None], sub[:, None, :]]
+    C_healthy = lin.full_output().reshape(n, p, N_STATES * n)[
+        sub[:, :, None, None], np.arange(p)[:, None], idx[:, None, None, :]
+    ].reshape(K, m * p, N_STATES * m)
+    C = C_healthy.copy()
+    C[:, [p * fpos + r for r in dead]] = 0.0
+    return A, B, C, C_healthy
+
+
 def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
             faulty_rows: Optional[Sequence[int]] = None) -> AugmentedSystem:
     """Assemble the merged state space for a candidate subsystem set.
@@ -214,83 +255,84 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
     if faulty_id not in ids:
         raise ValueError(f"faulty subsystem {faulty_id} missing from ids {ids}")
 
-    # Candidate blocks are rows and columns of the cached full-plant matrices.
-    sub = np.subtract(ids, 1)
-    idx = lin.state_index().take(sub, 0).ravel()
-    p = lin.Csub.shape[1]
-    A = lin.full_matrix().take(idx, 0).take(idx, 1)
-    B = lin.full_input().take(idx, 0).take(sub, 1)
-    C_healthy = (lin.full_output().reshape(n, p, N_STATES * n)
-                 .take(sub, 0).take(idx, 2).reshape(p * len(ids), idx.size))
-    C = C_healthy.copy()
-    frow0 = p * ids.index(faulty_id)
-    for r in range(p) if faulty_rows is None else faulty_rows:
-        if not 0 <= r < p:
-            raise ValueError(
-                f"faulty row {r} out of range for subsystem {faulty_id}"
-            )
-        C[frow0 + r, :] = 0.0
+    dead = _dead_rows(faulty_rows, lin.Csub.shape[1], faulty_id)
+    A, B, C, C_healthy = _gather(lin, np.subtract(ids, 1)[None],
+                                 ids.index(faulty_id), dead)
     index_map = {i: slice(N_STATES * a, N_STATES * (a + 1))
                  for a, i in enumerate(ids)}
-    return AugmentedSystem(ids=ids, A=A, B=B, C=C, C_healthy=C_healthy,
-                           index_map=index_map, faulty_id=faulty_id)
+    return AugmentedSystem(ids=ids, A=A[0], B=B[0], C=C[0],
+                           C_healthy=C_healthy[0], index_map=index_map,
+                           faulty_id=faulty_id)
 
 
-def _numeric_observable(aug: AugmentedSystem, tol: float) -> bool:
-    """Cascade test when the coupling is one-directional, Kalman otherwise.
+def _screen(A: np.ndarray, C: np.ndarray, f: slice, tol: float):
+    """Structural, numeric and stability verdicts for a stack of candidates.
 
-    The coupling is one-directional when the faulty member's rows carry no
-    entry in the helpers' columns, which lie on both sides of its own
-    contiguous column block.
+    ``A`` is (K, d, d) and ``C`` (K, q, d); every candidate's faulty member
+    holds the states ``f``.  The structural and stability screens run once
+    on the whole stack.  The numeric test, for structurally observable
+    candidates only, is the cascade test where the coupling is
+    one-directional (the faulty rows carry no entry in the helpers' columns,
+    which lie on both sides of its own block), one stacked Kalman test for
+    the rest.  Returns three boolean arrays of length K.
     """
-    f = aug.index_map[aug.faulty_id]
-    f_rows = aug.A[f]
-    if (aug.dim > f.stop - f.start and not f_rows[:, :f.start].any()
-            and not f_rows[:, f.stop:].any()):
-        h_idx = np.r_[0:f.start, f.stop:aug.dim]
-        f_idx = np.arange(f.start, f.stop)
-        A11 = aug.A[np.ix_(h_idx, h_idx)]
-        A12 = aug.A[np.ix_(h_idx, f_idx)]
-        A22 = aug.A[np.ix_(f_idx, f_idx)]
-        nonzero_rows = np.any(aug.C, axis=1)
-        C1 = aug.C[np.ix_(nonzero_rows, h_idx)]
-        if C1.size == 0:
-            return False
-        ok, _ = cascade_observable(A11, A12, A22, C1, tol)
-        return ok
-    rank, ok = kalman_rank(aug.A, aug.C, tol)
-    return ok
+    structural = structurally_observable(ZeroPattern(A=A != 0, C=C != 0))
+    stable = is_hurwitz(A)
+    f_rows = A[:, f]
+    cascade = (structural & (A.shape[-1] > f.stop - f.start)
+               & ~f_rows[:, :, :f.start].any(axis=(1, 2))
+               & ~f_rows[:, :, f.stop:].any(axis=(1, 2)))
+    kalman = structural & ~cascade
+    observable = np.zeros(len(A), dtype=bool)
+    if kalman.any():
+        observable[kalman] = kalman_rank(A[kalman], C[kalman], tol)[1]
+    # Cascade: the helpers are measured and the faulty member drives them.
+    h_idx = np.r_[0:f.start, f.stop:A.shape[-1]]
+    f_idx = np.arange(f.start, f.stop)
+    for k in np.flatnonzero(cascade):
+        C1 = C[k][np.ix_(C[k].any(axis=1), h_idx)]
+        observable[k] = C1.size > 0 and cascade_observable(
+            A[k][np.ix_(h_idx, h_idx)], A[k][np.ix_(h_idx, f_idx)],
+            A[k][np.ix_(f_idx, f_idx)], C1, tol)[0]
+    return structural, observable, stable
 
 
-def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
-                       tol: float = 1e-9) -> CostReport:
-    """Screen one candidate set and, when admissible, price it.
-
-    The structural filter runs first (it is cheap and catches decoupled
-    members), then the numeric observability test, then the stability screen
-    on the merged state matrix.  The cost combines the observability Gramian
-    trace with the output-functionality gap caused by the dead sensor rows.
-    """
-    cand = aug.ids
-    if not structurally_observable(ZeroPattern(A=aug.A != 0, C=aug.C != 0)):
-        return CostReport(candidate=cand, observable=False,
-                          stable=is_hurwitz(aug.A),
+def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
+            A, B, C, C_healthy, alpha: float, xi: float) -> CostReport:
+    """The screens' verdicts on one candidate and, when admissible, its
+    price."""
+    if not structural:
+        return CostReport(candidate=cand, observable=False, stable=stable,
                           reason="structurally unobservable")
-    observable = _numeric_observable(aug, tol)
-    stable = is_hurwitz(aug.A)
     if not observable:
         return CostReport(candidate=cand, observable=False, stable=stable,
                           reason="numerically unobservable")
     if not stable:
         return CostReport(candidate=cand, observable=True, stable=False,
                           reason="merged state matrix is not Hurwitz")
-    Wo = obs_gramian(aug.A, aug.C)
+    Wo = obs_gramian(A, C)
     trace_Wo = float(np.trace(Wo))
-    hf_sq = hf_norm_sq(aug.A, aug.B, aug.C_healthy, aug.C)
+    hf_sq = hf_norm_sq(A, B, C_healthy, C)
     hf = float(np.sqrt(max(hf_sq, 0.0)))
     J = cost_J(trace_Wo, hf, alpha, xi)
     return CostReport(candidate=cand, observable=True, stable=True,
                       trace_Wo=trace_Wo, rho=1.0 / trace_Wo, hf_norm=hf, J=J)
+
+
+def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
+                       tol: float = 1e-9) -> CostReport:
+    """Screen one candidate set and, when admissible, price it.
+
+    The structural filter catches decoupled members, the numeric
+    observability test and the stability screen on the merged state matrix
+    follow; this is the stack-of-one case of the screening in
+    :func:`rftc_select`.  The cost combines the observability Gramian trace
+    with the output-functionality gap caused by the dead sensor rows.
+    """
+    verdicts = _screen(aug.A[None], aug.C[None],
+                       aug.index_map[aug.faulty_id], tol)
+    return _report(aug.ids, *(bool(v[0]) for v in verdicts),
+                   aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi)
 
 
 @dataclass(frozen=True)
@@ -316,9 +358,6 @@ def _single_output_chain(aug: AugmentedSystem, tol: float):
     if len(rows) > 1:
         trials.append((None, aug.C[rows].sum(axis=0)))
     for r, c_row in trials:
-        _, ok = kalman_rank(aug.A, c_row, tol)
-        if not ok:
-            continue
         try:
             chain = to_chain_form(StateSpace(A=aug.A, B=aug.B, C=c_row), tol)
         except ValueError:
@@ -377,6 +416,10 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
     smallest id tuple.  ``excluded_ids`` removes subsystems that cannot help
     (for example ones currently faulty themselves).
 
+    The sets of one cardinality are gathered and screened as stacks of at
+    most ``SCREEN_STACK_BYTES`` of observability matrices; only admissible
+    sets are priced, one at a time.
+
     Without ``j_max`` every admissible candidate is acceptable; a warning is
     logged because an unbounded cost cap accepts arbitrarily poor sets.
     """
@@ -385,8 +428,7 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         raise ValueError(f"unknown subsystem id {faulty_id}; plant has 1..{n}")
     f = faulty_id - 1
     Csub = lin.Csub[f]
-    rows = (list(range(Csub.shape[0])) if faulty_rows is None
-            else list(faulty_rows))
+    rows = _dead_rows(faulty_rows, Csub.shape[0], faulty_id)
 
     if faulty_C is not None:
         faulty_C = np.atleast_2d(np.asarray(faulty_C, dtype=float))
@@ -415,22 +457,32 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         )
         j_max = np.inf
 
-    helpers = [i for i in range(1, n + 1)
-               if i != faulty_id and i not in set(excluded_ids)]
+    helpers = sorted(i for i in range(1, n + 1)
+                     if i != faulty_id and i not in set(excluded_ids))
     reports: list[CostReport] = []
     for card in range(1, len(helpers) + 1):
         admissible = []
-        for combo in itertools.combinations(sorted(helpers), card):
-            ids = (faulty_id,) + combo
-            aug = augment(ids, lin, faulty_id, faulty_rows=faulty_rows)
-            rep = evaluate_candidate(aug, alpha, xi, tol)
-            reports.append(rep)
-            if rep.J is not None and rep.J <= j_max:
-                admissible.append((rep, aug))
+        sets = [(faulty_id,) + combo
+                for combo in itertools.combinations(helpers, card)]
+        m = card + 1
+        per_set = 8 * (N_STATES * m) ** 2 * Csub.shape[0] * m
+        step = max(1, SCREEN_STACK_BYTES // per_set)
+        for start in range(0, len(sets), step):
+            chunk = sets[start:start + step]
+            # The faulty member is the first block of every set.
+            A, B, C, C_healthy = _gather(lin, np.subtract(chunk, 1), 0, rows)
+            verdicts = _screen(A, C, slice(0, N_STATES), tol)
+            verdicts = zip(*(v.tolist() for v in verdicts))
+            for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
+                rep = _report(ids, *verdict, A[k], B[k], C[k], C_healthy[k],
+                              alpha, xi)
+                reports.append(rep)
+                if rep.J is not None and rep.J <= j_max:
+                    admissible.append(rep)
         if admissible:
-            best, best_aug = min(
-                admissible, key=lambda t: (t[0].J, t[0].candidate)
-            )
+            best = min(admissible, key=lambda rep: (rep.J, rep.candidate))
+            best_aug = augment(best.candidate, lin, faulty_id,
+                               faulty_rows=faulty_rows)
             return ReconfigPlan(
                 mode=MODE_AUGMENTATION,
                 faulty_id=faulty_id,
@@ -445,4 +497,3 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         faulty_id=faulty_id,
         candidates=reports,
     )
-

@@ -339,3 +339,64 @@ def chain_step_loops(z, y, g, uch, dt, L, L_max, l_value=None):
     l = L if l_value is None else l_value
     L_next = min(L_max, L + dt * ((e1 * e1) / (l * l)))
     return z_next, L_next
+
+
+def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
+                 excluded_ids=(), tol=1e-9):
+    """The reconfiguration search one candidate at a time, as a plan dict.
+
+    Every helper subset is enumerated in ascending cardinality, each merged
+    candidate is built by ``augment_loops`` and screened by the depth-first
+    structural test, the ``np.ix_`` cascade-or-Kalman choice (Kalman by
+    ``svd_observable``) and a 2-D ``obs.is_hurwitz``; survivors are priced
+    with ``obs.obs_gramian``, ``obs.hf_norm_sq`` and ``obs.cost_J``
+    (``obs`` is ``gridftc.observability``), whose arithmetic the screens do
+    not touch.  The cheapest set at or under ``j_max`` at the first
+    cardinality holding one wins, ties to the smaller id tuple.  Returns
+    what ``ReconfigPlan.to_dict()`` returns for the same search.
+    """
+    p = lin.Csub.shape[1]
+    rows = list(range(p)) if faulty_rows is None else list(faulty_rows)
+    helpers = [i for i in range(1, lin.n + 1)
+               if i != faulty_id and i not in excluded_ids]
+
+    def kalman(A, C, tol):
+        return None, svd_observable(A, C, tol)
+
+    def report(aug):
+        out = {"candidate": list(aug.ids), "observable": False,
+               "stable": obs.is_hurwitz(aug.A), "trace_Wo": None, "rho": None,
+               "hf_norm": None, "J": None}
+        if not structurally_observable_dfs(types.SimpleNamespace(
+                A=aug.A != 0, C=aug.C != 0)):
+            return dict(out, reason="structurally unobservable")
+        if not numeric_observable_ix(aug, tol, obs.cascade_observable, kalman):
+            return dict(out, reason="numerically unobservable")
+        if not out["stable"]:
+            return dict(out, observable=True,
+                        reason="merged state matrix is not Hurwitz")
+        trace_Wo = float(np.trace(obs.obs_gramian(aug.A, aug.C)))
+        hf = float(np.sqrt(max(obs.hf_norm_sq(aug.A, aug.B, aug.C_healthy,
+                                              aug.C), 0.0)))
+        return dict(out, observable=True, trace_Wo=trace_Wo,
+                    rho=1.0 / trace_Wo, hf_norm=hf,
+                    J=obs.cost_J(trace_Wo, hf, alpha, xi), reason="")
+
+    reports = []
+    for card in range(1, len(helpers) + 1):
+        level = []
+        for combo in itertools.combinations(helpers, card):
+            rep = report(augment_loops((faulty_id,) + combo, lin, faulty_id,
+                                       faulty_rows=faulty_rows))
+            reports.append(rep)
+            if rep["J"] is not None and rep["J"] <= j_max:
+                level.append(rep)
+        if level:
+            best = min(level, key=lambda r: (r["J"], r["candidate"]))
+            P = np.eye(p)
+            P[rows, rows] = 0.0
+            return {"mode": "augmentation", "faulty_id": faulty_id,
+                    "P": P.tolist(), "augment_set": best["candidate"],
+                    "J": best["J"], "candidates": reports}
+    return {"mode": "unrecoverable", "faulty_id": faulty_id, "P": None,
+            "augment_set": None, "J": None, "candidates": reports}

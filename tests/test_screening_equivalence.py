@@ -1,24 +1,22 @@
 """Candidate screening against the loop-built reference implementations.
 
-``augment`` slices candidates out of the cached full-plant matrices, the
-structural screen walks whole frontiers, the cascade gate reads contiguous
-slices and ``obsv_matrix`` fills a preallocated array.  Each must give
-exactly what the block-copy, depth-first, ``np.ix_`` and ``vstack`` versions
-in ``_oracles`` give, down to the last bit of every reported cost.
+``rftc_select`` gathers each cardinality's candidates out of the cached
+full-plant matrices as one stack and runs every screen once on it: the
+structural screen walks whole frontiers, ``is_hurwitz`` and the Kalman test
+take stacks, and ``obsv_matrix`` fills a preallocated array.  Each must give
+exactly what the block-copy, depth-first, ``np.ix_``, ``vstack`` and
+one-matrix-at-a-time versions give, down to the last bit of every reported
+cost.
 """
-
-import functools
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import _oracles as orc
 import gridftc.observability
-import gridftc.reconfig
 from gridftc.observability import (
     ZeroPattern,
-    cascade_observable,
+    is_hurwitz,
     kalman_rank,
     obsv_matrix,
     structurally_observable,
@@ -80,7 +78,7 @@ plants = st.one_of(
     st.builds(coupled_plant, st.integers(3, 8), st.integers(0, 2**32 - 1),
               st.sampled_from([0.25, 0.5, 1.0])),
     st.builds(directed_plant, st.integers(3, 8), st.integers(0, 2**32 - 1),
-              st.sampled_from([0.15, 0.3, 0.6])),
+              st.sampled_from([0.15, 0.3, 0.6]), st.sampled_from([1, 2])),
 )
 
 
@@ -130,29 +128,61 @@ def test_obsv_matrix_is_bit_identical(n, p, seed):
     assert obsv_matrix(A, c).tobytes() == orc.obsv_matrix_plain(A, c).tobytes()
 
 
-def _oracle_search(*args, **kwargs):
-    """``rftc_select`` with the block-copy, depth-first, ``np.ix_`` and
-    ``vstack`` implementations patched in."""
-    numeric = functools.partial(orc.numeric_observable_ix,
-                                cascade_observable=cascade_observable,
-                                kalman_rank=kalman_rank)
-    with mock.patch.object(gridftc.reconfig, "augment", orc.augment_loops), \
-            mock.patch.object(gridftc.reconfig, "structurally_observable",
-                              orc.structurally_observable_dfs), \
-            mock.patch.object(gridftc.reconfig, "_numeric_observable",
-                              numeric), \
-            mock.patch.object(gridftc.observability, "obsv_matrix",
-                              orc.obsv_matrix_plain):
-        return rftc_select(*args, **kwargs)
-
-
 @SEARCH
 @given(data=st.data(), lin=plants,
        j_max=st.sampled_from([0.0, np.inf]))
 def test_select_plans_match_oracle_search(data, lin, j_max):
     faulty = data.draw(st.integers(1, lin.n))
-    got = rftc_select(faulty, lin, 100.0, 50.0, j_max=j_max).to_dict()
-    ref = _oracle_search(faulty, lin, 100.0, 50.0, j_max=j_max).to_dict()
+    p = lin.Csub.shape[1]
+    rows = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, p - 1), max_size=p, unique=True)))
+    others = [i for i in range(1, lin.n + 1) if i != faulty]
+    excluded = data.draw(st.lists(st.sampled_from(others), max_size=2,
+                                  unique=True))
+    got = rftc_select(faulty, lin, 100.0, 50.0, j_max=j_max,
+                      faulty_rows=rows, excluded_ids=excluded).to_dict()
+    ref = orc.select_loops(faulty, lin, 100.0, 50.0, gridftc.observability,
+                           j_max=j_max, faulty_rows=rows,
+                           excluded_ids=excluded)
     assert got == ref
     if j_max == 0.0:
-        assert len(got["candidates"]) == 2 ** (lin.n - 1) - 1
+        assert len(got["candidates"]) == 2 ** (lin.n - 1 - len(excluded)) - 1
+
+
+def _stack(rng, K, n, real_share):
+    """K random n x n matrices, about ``real_share`` of them symmetric (real
+    spectrum), each shifted so that some are Hurwitz and some are not."""
+    A = rng.normal(size=(K, n, n))
+    sym = rng.random(K) < real_share
+    A[sym] = A[sym] + A[sym].transpose(0, 2, 1)
+    return A - rng.uniform(-1.0, 3.0, size=(K, 1, 1)) * np.eye(n)
+
+
+@QUICK
+@given(K=st.integers(1, 6), n=st.integers(1, 8), p=st.integers(1, 3),
+       real_share=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_screens_match_single_calls(K, n, p, real_share, seed):
+    rng = np.random.default_rng(seed)
+    A = _stack(rng, K, n, real_share)
+    C = rng.normal(size=(K, p, n)) * (rng.random((K, p, n)) < 0.6)
+    C[0] = 0.0   # an all-zero output map: s[0] == 0, rank 0
+    patt = ZeroPattern(A=rng.random((K, n, n)) < 0.3, C=C != 0)
+
+    stable = is_hurwitz(A)
+    rank, ok = kalman_rank(A, C)
+    O = obsv_matrix(A, C)
+    reach = structurally_observable(patt)
+    for got in (stable, ok, reach):
+        assert got.shape == (K,) and got.dtype == bool
+    for k in range(K):
+        single = is_hurwitz(A[k])
+        assert type(single) is bool and stable[k] == single
+        r, o = kalman_rank(A[k], C[k])
+        assert type(r) is int and type(o) is bool
+        assert (rank[k], ok[k]) == (r, o)
+        assert O[k].tobytes() == obsv_matrix(A[k], C[k]).tobytes()
+        single = structurally_observable(ZeroPattern(A=patt.A[k],
+                                                     C=patt.C[k]))
+        assert type(single) is bool and reach[k] == single
+    assert rank[0] == 0 and not ok[0]
