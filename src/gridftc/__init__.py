@@ -15,7 +15,6 @@ from .power_model import (
     PlantModel,
     EquilibriumError,
     currents,
-    electrical_power,
     derivatives,
     verify_equilibrium,
     linearize,
@@ -34,7 +33,6 @@ from .observability import (
     cascade_observable,
     obs_gramian,
     ctrl_gramian,
-    h2_norm_sq,
     hf_norm_sq,
     cost_J,
 )

@@ -17,7 +17,8 @@ Five subcommands cover the workflow end to end:
     Parse, validate and round-trip a scenario file.
 
 Exit codes: 0 success, 2 bad input (file, field or argument), 3 when a run
-finishes with an unrecoverable-fault verdict.  The default output directory
+finishes with an unrecoverable-fault verdict or is ended by the divergence
+check.  The default output directory
 comes from ``--out``, falling back to the ``GRIDFTC_OUT`` environment
 variable and then the working directory.
 """
@@ -112,17 +113,20 @@ def cmd_run(args) -> int:
                           outputs={k: str(p) for k, p in paths.items()})
     write_report_json(report, paths["report"])
 
-    print(f"scenario {scn.name}: {len(log.t)} steps in {wall:.1f} s")
+    steps = len(log.t) - 1
+    print(f"scenario {scn.name}: {steps} steps in {wall:.1f} s "
+          f"({1e6 * wall / max(steps, 1):.1f} us/step)")
     for ev in log.events:
         print(f"  t={ev.t:9.3f}  {ev.label}")
     for r in report.recovery:
         print(f"  fault at t={r['t_fault']:.0f} ({r['kind']}): {r['verdict']}")
     for key, p in paths.items():
         print(f"  {key}: {p}")
+    if log.diverged:
+        print("verdict: the run diverged; see report", file=sys.stderr)
     if log.unrecoverable:
         print("verdict: unrecoverable fault; see report", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if log.diverged or log.unrecoverable else 0
 
 
 def cmd_analyze(args) -> int:

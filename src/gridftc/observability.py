@@ -32,7 +32,6 @@ __all__ = [
     "eval_adjugate",
     "obs_gramian",
     "ctrl_gramian",
-    "h2_norm_sq",
     "hf_norm_sq",
     "cost_J",
     "is_hurwitz",
@@ -112,12 +111,6 @@ class ZeroPattern:
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
-
-    @classmethod
-    def from_matrices(cls, A, C, tol: float = 0.0) -> "ZeroPattern":
-        A = np.asarray(A, dtype=float)
-        C = np.asarray(C, dtype=float)
-        return cls(A=np.abs(A) > tol, C=np.abs(np.atleast_2d(C)) > tol)
 
 
 @dataclass
@@ -387,50 +380,52 @@ def _lyap_with_refinement(AT: np.ndarray, Q: np.ndarray, target: float) -> np.nd
     return X
 
 
-def obs_gramian(A, C) -> np.ndarray:
+def _require_hurwitz(A: np.ndarray) -> None:
+    eigs = np.linalg.eigvals(A)
+    worst = eigs[np.argmax(eigs.real)]
+    if worst.real >= 0.0:
+        raise UnstableSystemError(worst)
+
+
+def obs_gramian(A, C, *, assume_hurwitz: bool = False) -> np.ndarray:
     """Observability Gramian from A^T W + W A + C^T C = 0.
 
-    Requires a Hurwitz ``A`` (raises :class:`UnstableSystemError` otherwise).
+    Requires a Hurwitz ``A`` (raises :class:`UnstableSystemError` otherwise;
+    a caller that has already screened ``A``, like the reconfiguration
+    search, passes ``assume_hurwitz=True`` to skip this eigenvalue check).
     The returned matrix is symmetrized and satisfies the equation with a
     Frobenius residual at most 1e-10 times ||C^T C||_F.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    eigs = np.linalg.eigvals(A)
-    worst = eigs[np.argmax(eigs.real)]
-    if worst.real >= 0.0:
-        raise UnstableSystemError(worst)
+    if not assume_hurwitz:
+        _require_hurwitz(A)
     Q = C.T @ C
     target = GRAMIAN_RESIDUAL_REL * max(np.linalg.norm(Q, "fro"), np.finfo(float).tiny)
     return _lyap_with_refinement(A.T, Q, target)
 
 
-def ctrl_gramian(A, B) -> np.ndarray:
-    """Controllability Gramian from A W + W A^T + B B^T = 0."""
+def ctrl_gramian(A, B, *, assume_hurwitz: bool = False) -> np.ndarray:
+    """Controllability Gramian from A W + W A^T + B B^T = 0 (Hurwitz ``A``
+    as for :func:`obs_gramian`)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    eigs = np.linalg.eigvals(A)
-    worst = eigs[np.argmax(eigs.real)]
-    if worst.real >= 0.0:
-        raise UnstableSystemError(worst)
+    if not assume_hurwitz:
+        _require_hurwitz(A)
     Q = B @ B.T
     target = GRAMIAN_RESIDUAL_REL * max(np.linalg.norm(Q, "fro"), np.finfo(float).tiny)
     return _lyap_with_refinement(A, Q, target)
 
 
-def h2_norm_sq(sys: StateSpace) -> float:
-    """Squared H2 norm, trace(C Wc C^T) via the controllability Gramian."""
-    Wc = ctrl_gramian(sys.A, sys.B)
-    return float(np.trace(sys.C @ Wc @ sys.C.T))
-
-
-def hf_norm_sq(A, B, C_healthy, C_faulty) -> float:
+def hf_norm_sq(A, B, C_healthy, C_faulty, *,
+               assume_hurwitz: bool = False) -> float:
     """Squared health-functionality gap between two output maps.
 
-    Both output configurations share one controllability Gramian, so the gap
-    is trace(Ch Wc Ch^T) - trace(Cf Wc Cf^T).
+    Both output configurations share one controllability Gramian (Hurwitz
+    ``A`` as for :func:`obs_gramian`), so the gap is
+    trace(Ch Wc Ch^T) - trace(Cf Wc Cf^T).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Ch = np.atleast_2d(np.asarray(C_healthy, dtype=float))
@@ -440,7 +435,7 @@ def hf_norm_sq(A, B, C_healthy, C_faulty) -> float:
             f"output maps must have {A.shape[0]} columns, got "
             f"{Ch.shape[1]} and {Cf.shape[1]}"
         )
-    Wc = ctrl_gramian(A, B)
+    Wc = ctrl_gramian(A, B, assume_hurwitz=assume_hurwitz)
     return float(np.trace(Ch @ Wc @ Ch.T) - np.trace(Cf @ Wc @ Cf.T))
 
 

@@ -36,16 +36,15 @@ DEFAULT_L_MAX = 1e3
 class ChainForm:
     """Change of coordinates z = T x bringing (A, C) to observer chain form.
 
-    In the new coordinates the output is the first state, the state matrix is
-    an integrator chain (ones on the superdiagonal) and all remaining linear
-    dynamics are confined to the last row, exposed as ``residual_row``.  The
-    input distribution in chain coordinates is ``input_chain = T B``.
+    In the new coordinates the output is the first state and the state matrix
+    ``T A T_inv`` is an integrator chain (ones on the superdiagonal) with all
+    remaining linear dynamics confined to its last row.  The input
+    distribution in chain coordinates is ``input_chain = T B``.
     """
 
     n: int
     T: np.ndarray
     T_inv: np.ndarray
-    residual_row: np.ndarray
     input_chain: np.ndarray  # (n, n_inputs): chain-coordinate input distribution
 
     def __post_init__(self):
@@ -55,12 +54,6 @@ class ChainForm:
                 f"chain transform inverse residual {err:.3e} exceeds "
                 f"{CHAIN_INV_TOL:.1e}; the pair is too close to unobservable"
             )
-
-    def to_chain(self, x: np.ndarray) -> np.ndarray:
-        return self.T @ np.asarray(x, dtype=float)
-
-    def from_chain(self, z: np.ndarray) -> np.ndarray:
-        return self.T_inv @ np.asarray(z, dtype=float)
 
 
 def to_chain_form(sub: StateSpace, tol: float = 1e-9) -> ChainForm:
@@ -80,9 +73,7 @@ def to_chain_form(sub: StateSpace, tol: float = 1e-9) -> ChainForm:
             f"pair is unobservable (rank {rank} of {sub.n}); no chain form exists"
         )
     T = obsv_matrix(sub.A, sub.C)
-    T_inv = np.linalg.inv(T)
-    residual = (sub.C @ np.linalg.matrix_power(sub.A, sub.n) @ T_inv).ravel()
-    return ChainForm(n=sub.n, T=T, T_inv=T_inv, residual_row=residual,
+    return ChainForm(n=sub.n, T=T, T_inv=np.linalg.inv(T),
                      input_chain=T @ sub.B)
 
 
@@ -96,23 +87,38 @@ def shaping_coefficients(n: int) -> np.ndarray:
 
 
 def chain_rk4(Z, y, g, uch, dt):
-    """One RK4 step of chain-observer dynamics, batched over leading axes.
+    """One RK4 step of chain-observer dynamics, batched over trailing axes.
 
-    ``Z`` has shape (..., n_chain); the innovation uses the first chain
-    coordinate against the frozen measurement ``y``; ``g`` carries the
-    per-row correction gains ``a_k L^k`` and ``uch`` the chain-coordinate
-    input term.
+    ``Z`` is chain-axis first, (n_chain, ...): a 1-D state is one observer,
+    a (n_chain, m) state a bank of m observers, one per column.  The
+    innovation uses the first chain coordinate ``Z[0]`` against the frozen
+    measurement ``y``; ``g`` carries the per-row correction gains
+    ``a_k L^k`` and ``uch`` the chain-coordinate input term, both shaped
+    like ``Z``.  The stages are summed in place in the order
+    ``Z + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.
     """
     def rhs(z):
-        dz = uch + g * (y - z[..., 0])[..., None]
-        dz[..., :-1] += z[..., 1:]
+        dz = g * (y - z[0])
+        dz += uch
+        dz[:-1] += z[1:]
         return dz
 
+    def stage(k, h):
+        s = k * h
+        s += Z
+        return s
+
     k1 = rhs(Z)
-    k2 = rhs(Z + 0.5 * dt * k1)
-    k3 = rhs(Z + 0.5 * dt * k2)
-    k4 = rhs(Z + dt * k3)
-    return Z + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = rhs(stage(k1, 0.5 * dt))
+    k3 = rhs(stage(k2, 0.5 * dt))
+    k4 = rhs(stage(k3, dt))
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += Z
+    return k2
 
 
 def gain_law(L, e1, dt, L_max, l_value=None):

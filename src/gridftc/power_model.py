@@ -41,7 +41,6 @@ __all__ = [
     "PlantModel",
     "EquilibriumError",
     "currents",
-    "electrical_power",
     "derivatives",
     "verify_equilibrium",
     "linearize",
@@ -256,12 +255,20 @@ def _param_arrays(params: Sequence[GeneratorParams]):
     }
 
 
-def _network_currents(delta, E, Y):
-    """Axis currents ``(Id, Iq)`` at absolute angles ``delta`` and EMFs ``E``
-    through the phasor identity of the module docstring; ``Y = G + 1j B``."""
-    w = np.exp(1j * delta)
-    S = w.conj() * (Y @ (E * w))
-    return -S.imag, S.real
+def _network_power(delta0, ddelta, E, Y):
+    """``S = conj(w) (Y @ (E w))`` with ``w = exp(1j (delta0 + ddelta))``
+    and ``Y = G + 1j B``: by the module docstring ``Iq = Re S`` and
+    ``Id = -Im S``.
+
+    ``1j * delta`` is built as a zero-real complex array whose imaginary
+    part receives the sum, and the conjugate and the product are taken in
+    place.
+    """
+    w = np.zeros(E.shape, dtype=complex)
+    np.add(delta0, ddelta, out=w.imag)
+    np.exp(w, out=w)
+    S = Y @ (E * w)
+    return np.multiply(np.conjugate(w, out=w), S, out=S)
 
 
 def currents(state, op: OperatingPoint, net: NetworkModel):
@@ -276,19 +283,9 @@ def currents(state, op: OperatingPoint, net: NetworkModel):
     if op.n != n:
         raise ValueError(f"operating point has {op.n} machines, network has {n}")
     x = _as_state(state, n)
-    return _network_currents(op.delta0 + x[:, 0], op.Eq_prime0 + x[:, 2],
-                             net.G + 1j * net.B)
-
-
-def electrical_power(state, op: OperatingPoint, net: NetworkModel):
-    """Active and reactive electrical power ``(Pe, Qe)`` per machine.
-
-    ``Pe_i = E'_qi Iq_i`` and ``Qe_i = E'_qi Id_i``.
-    """
-    x = _as_state(state, net.n)
-    E = op.Eq_prime0 + x[:, 2]
-    Id, Iq = currents(x, op, net)
-    return E * Iq, E * Id
+    S = _network_power(op.delta0, x[:, 0], op.Eq_prime0 + x[:, 2],
+                       net.G + 1j * net.B)
+    return -S.imag, S.real
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,16 +323,33 @@ def _rhs_constants(params: Sequence[GeneratorParams], op: OperatingPoint,
 def _rhs_core(x, u, k: _RhsConstants):
     """Unvalidated deviation-dynamics right-hand side (hot-loop form).
 
-    ``x`` is (n, 3), ``u`` the absolute field EMFs (n,), ``k`` the plant's
-    :class:`_RhsConstants`.  The simulation engine calls this once per
-    integrator substage; :func:`derivatives` wraps it with input validation.
+    ``x`` is state-major, (3, n): row 0 the angles, row 1 the speeds, row 2
+    the EMFs, so every row is a contiguous vector.  ``u`` holds the absolute
+    field EMFs (n,) and ``k`` the plant's :class:`_RhsConstants`.  The
+    simulation engine calls this once per integrator substage;
+    :func:`derivatives` wraps it with input validation and the (n, 3)
+    layout.
+
+    The rows are computed in place:
+    ``dx[1] = (drive - damp x[1]) - gain (E Iq)`` and
+    ``dx[2] = ((u - E) - dxd Id) inv_Tdo``, where subtracting
+    ``dxd Id = -(dxd Im S)`` is adding ``Im S dxd``, bit for bit.
     """
-    E = k.E0 + x[:, 2]
-    Id, Iq = _network_currents(k.delta0 + x[:, 0], E, k.Y)
+    E = k.E0 + x[2]
+    S = _network_power(k.delta0, x[0], E, k.Y)
     dx = np.empty_like(x)
-    dx[:, 0] = x[:, 1]
-    dx[:, 1] = k.drive - k.damp * x[:, 1] - k.gain * (E * Iq)
-    dx[:, 2] = (u - E - k.dxd * Id) * k.inv_Tdo
+    dx[0] = x[1]
+    r = dx[1]
+    np.multiply(k.damp, x[1], out=r)
+    np.subtract(k.drive, r, out=r)
+    q = E * S.real
+    q *= k.gain
+    r -= q
+    r = dx[2]
+    np.subtract(u, E, out=r)
+    q = S.imag * k.dxd
+    r += q
+    r *= k.inv_Tdo
     return dx
 
 
@@ -355,7 +369,7 @@ def derivatives(state, u, params: Sequence[GeneratorParams],
     u = np.asarray(u, dtype=float).ravel()
     if u.size != n:
         raise ValueError(f"u has {u.size} entries, expected {n}")
-    return _rhs_core(x, u, _rhs_constants(params, op, net))
+    return _rhs_core(x.T, u, _rhs_constants(params, op, net)).T
 
 
 def verify_equilibrium(op: OperatingPoint, params: Sequence[GeneratorParams],

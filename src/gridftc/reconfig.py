@@ -22,7 +22,6 @@ from .observability import (
     CostReport,
     StateSpace,
     ZeroPattern,
-    UnstableSystemError,
     cascade_observable,
     cost_J,
     hf_norm_sq,
@@ -310,9 +309,10 @@ def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
     if not stable:
         return CostReport(candidate=cand, observable=True, stable=False,
                           reason="merged state matrix is not Hurwitz")
-    Wo = obs_gramian(A, C)
+    # the stability screen has already found A Hurwitz
+    Wo = obs_gramian(A, C, assume_hurwitz=True)
     trace_Wo = float(np.trace(Wo))
-    hf_sq = hf_norm_sq(A, B, C_healthy, C)
+    hf_sq = hf_norm_sq(A, B, C_healthy, C, assume_hurwitz=True)
     hf = float(np.sqrt(max(hf_sq, 0.0)))
     J = cost_J(trace_Wo, hf, alpha, xi)
     return CostReport(candidate=cand, observable=True, stable=True,

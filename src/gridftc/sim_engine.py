@@ -46,6 +46,29 @@ point) the engine asks :func:`gridftc.reconfig.rftc_select` for a plan:
 Trajectory columns log the signal each subsystem's observer actually
 consumed; after a dead sensor is switched off, that column reverts to the
 raw (dead) deviation reading, which no observer uses from then on.
+
+Engine: event segments and state-major layout
+---------------------------------------------
+:func:`run_scenario` turns the fault timeline into a sorted list of event
+steps (activations before diagnoses at one step) and runs one fixed kernel,
+``_Engine.advance``, on the rows between them; only the events change the
+configuration (active faults, virtual-sensor gains, frozen nominal
+observers, the merged observer), and :func:`measure` runs only while a fault
+is active.  The plant state and the nominal bank's chain states are
+state-major, (3, n), so each component is one contiguous row, and both RK4
+steps sum their stages in place; the logs keep the (rows, n, 3) layout.
+The kernel calls the plant right-hand side and the chain-observer step
+through this module's globals ``_rhs_core`` and ``_rk4_chain`` (a 2-D state
+is the nominal bank, a 1-D state the merged observer), where the
+``perfbench`` tracer hooks them.
+
+Divergence verdict
+------------------
+Segments also end every ``DIVERGENCE_CHECK_STEPS`` rows.  After each one,
+the rows just logged are checked: every state and estimate finite and every
+angle deviation at most pi in magnitude.  The first row that fails gets a
+``diverged`` marker, the run ends with the rows logged so far and the log
+and report carry ``diverged``; ``gridftc run`` then exits with code 3.
 """
 
 from __future__ import annotations
@@ -87,6 +110,8 @@ from .reconfig import (
 
 DEFAULT_POLES = (-1.2, -1.7, -2.4)
 DEFAULT_SETTLING_WINDOW = 10.0
+# Rows between two divergence checks; event steps also end a checked segment.
+DIVERGENCE_CHECK_STEPS = 1000
 
 
 class ScenarioError(ValueError):
@@ -347,7 +372,7 @@ class EventMarker:
 
     t: float
     step: int
-    kind: str       # "fault" | "fdi"
+    kind: str       # "fault" | "fdi" | "diverged"
     subsystem: int
     label: str
     detail: dict = field(default_factory=dict)
@@ -366,7 +391,8 @@ class TrajectoryLog:
     physical coordinates); ``y_meas`` is the raw post-fault deviation
     reading and ``y_used`` the signal the active observer consumed.
     ``interactions`` and ``chain_true`` are strided samples supporting the
-    interaction-bound diagnostic.
+    interaction-bound diagnostic.  ``diverged`` is set when the divergence
+    check ended the run early (the rows logged up to then are kept).
     """
 
     scenario_name: str
@@ -382,6 +408,7 @@ class TrajectoryLog:
     chain_true: Optional[np.ndarray] = None
     diag_stride: int = 1
     unrecoverable: bool = False
+    diverged: bool = False
 
     @property
     def n_subsystems(self) -> int:
@@ -399,6 +426,7 @@ class RunReport:
     interaction_bounds: list
     outputs: dict
     unrecoverable: bool
+    diverged: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -409,6 +437,7 @@ class RunReport:
             "interaction_bounds": self.interaction_bounds,
             "outputs": self.outputs,
             "unrecoverable": self.unrecoverable,
+            "diverged": self.diverged,
         }
 
 
@@ -421,14 +450,6 @@ def pole_placement_gains(lin, poles: Sequence[float] = DEFAULT_POLES) -> np.ndar
         res = place_poles(lin.A[i], lin.Bsub[i].reshape(N_STATES, 1), poles)
         K[i] = res.gain_matrix.ravel()
     return K
-
-
-def nominal_controller(xhat, gains, u0) -> np.ndarray:
-    """Equilibrium feedforward plus state feedback on the estimates."""
-    xhat = np.asarray(xhat, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    return u0 - np.einsum("ij,ij->i", gains, xhat)
 
 
 def measure(readings, active: Sequence[tuple] = ()) -> np.ndarray:
@@ -502,6 +523,267 @@ class _MergedObserver:
         return self.chain.T_inv @ self.z
 
 
+def _timeline(scn: Scenario, n_steps: int) -> list:
+    """The run's events as sorted ``(step, phase, fault index)`` triples.
+
+    Phase 0 activates a fault and phase 1 diagnoses it (only when the
+    scenario reconfigures), so at one grid step the activations come first,
+    each phase in fault order.  Events past the last row never happen.
+    """
+    events = []
+    for i, f in enumerate(scn.faults):
+        events.append((_grid_index(f.t_fault, scn.dt), 0, i))
+        if scn.reconfigure:
+            events.append((_grid_index(f.t_fault + f.fdi_delay, scn.dt), 1, i))
+    return sorted(e for e in events if e[0] <= n_steps)
+
+
+class _Engine:
+    """One run: its constants, its dense log and the small state that the
+    step kernel :meth:`advance` carries from row to row.
+
+    ``x`` (plant deviations) and ``Z`` (nominal chain states) are
+    state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
+    last absolute readings, from which a stuck sensor holds.  Between two
+    events the rest is fixed: ``active`` lists the active faults as
+    ``(FaultEvent, held)`` pairs, ``vs_gain`` maps a 0-based subsystem to
+    its virtual-sensor gain, ``frozen`` masks the subsystems whose nominal
+    observer is switched off and ``merged`` is the augmented-set observer.
+    """
+
+    def __init__(self, scn: Scenario, seed: int):
+        plant = scn.plant
+        n = self.n = plant.n
+        self.scn = scn
+        self.dt = scn.dt
+        self.n_steps = int(round(scn.horizon / scn.dt))
+        self.lin = lin = plant.linearize()
+        self.rhs_k = _rhs_constants(plant.generators, plant.op, plant.network)
+        self.y_ref = plant.op.delta0
+        self.u0 = plant.op.Ef0
+        if scn.controller.gains is not None:
+            self.K = np.asarray(scn.controller.gains, dtype=float)
+        else:
+            self.K = pole_placement_gains(lin,
+                                          scn.controller.poles or DEFAULT_POLES)
+
+        # nominal observer bank in chain coordinates, chain axis first
+        chains = [to_chain_form(StateSpace(lin.A[i],
+                                           lin.Bsub[i].reshape(N_STATES, 1),
+                                           lin.Csub[i]))
+                  for i in range(n)]
+        self.Tn = np.stack([c.T for c in chains])
+        self.Tn_inv = np.stack([c.T_inv for c in chains])
+        self.ICn = np.stack([c.input_chain.ravel() for c in chains], axis=1)
+        self.coeffs = shaping_coefficients(N_STATES)[:, None]
+        self.powers = np.arange(1, N_STATES + 1, dtype=float)[:, None]
+        xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
+        self.Z = np.ascontiguousarray(
+            np.einsum("nij,nj->ni", self.Tn, xhat0).T)
+        self.Lg = np.ones(n)
+        self.L_max = scn.observer.L_max
+        self.l_const = (scn.observer.l_value
+                        if scn.observer.l_mode == "constant" else None)
+
+        self.x = np.zeros((N_STATES, n))
+        self.y_abs = self.y_ref.copy()
+        self.rng = np.random.default_rng(seed)
+        self.active: list = []
+        self.vs_gain: dict = {}
+        self.frozen = np.zeros(n, dtype=bool)
+        self.dead: set = set()      # 1-based ids switched off by augmentation
+        self.merged: Optional[_MergedObserver] = None
+
+        rows = self.n_steps + 1
+        self.log_x = np.empty((rows, n, N_STATES))
+        self.log_xhat = np.empty((rows, n, N_STATES))
+        self.log_ymeas = np.empty((rows, n))
+        self.log_yused = np.empty((rows, n))
+        self.log_L = np.empty((rows, n))
+        self.events: list = []
+        self.plans: list = []
+        self.unrecoverable = False
+        self.diverged = False
+
+    def advance(self, k0: int, k_end: int) -> None:
+        """Log rows ``k0 .. k_end - 1`` and integrate from each of them to
+        the next (the run's last row is only logged), in the configuration
+        set by the events so far.
+
+        ``measure`` runs only while a fault is active.  The plant and the
+        bank go through the module globals ``_rhs_core`` and ``_rk4_chain``
+        and the RK4 stages of the plant are summed in place, in the order
+        ``x + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.
+        """
+        dt, last, n = self.dt, self.n_steps, self.n
+        half, sixth = 0.5 * dt, dt / 6.0
+        x, Z, Lg, y_abs = self.x, self.Z, self.Lg, self.y_abs
+        y_ref, u0, K, Tn_inv = self.y_ref, self.u0, self.K, self.Tn_inv
+        coeffs, powers, ICn = self.coeffs, self.powers, self.ICn
+        rhs_k, L_max, l_const = self.rhs_k, self.L_max, self.l_const
+        noise_amp, rng = self.scn.noise_amplitude, self.rng
+        active, merged = self.active, self.merged
+        frozen = self.frozen if self.frozen.any() else None
+        vs_idx = None
+        if self.vs_gain:
+            vs_idx = np.array(sorted(self.vs_gain))
+            vs_f = np.array([self.vs_gain[i] for i in vs_idx])
+            vs_fy = vs_f * y_ref[vs_idx]
+        if merged is not None:
+            fid, fsl = merged.faulty_id - 1, merged.faulty_slice
+        log_x, log_xhat, log_L = self.log_x, self.log_xhat, self.log_L
+        log_ymeas, log_yused = self.log_ymeas, self.log_yused
+
+        for k in range(k0, k_end):
+            # --- measurement and estimates at the step start -----------------
+            y_abs = y_ref + x[0]
+            if noise_amp > 0.0:
+                y_abs += noise_amp * (2.0 * rng.random(n) - 1.0)
+            if active:
+                y_abs = measure(y_abs, active)
+            y_dev = y_abs - y_ref
+            y_used = y_dev
+            if vs_idx is not None:
+                y_used = y_dev.copy()
+                y_used[vs_idx] = (y_abs[vs_idx] - vs_fy) / vs_f
+            xhat = (Tn_inv @ Z.T[..., None])[..., 0]
+            log_L[k] = Lg
+            if merged is not None:
+                xhat[fid] = merged.estimates()[fsl]
+                log_L[k, fid] = merged.L
+            log_x[k] = x.T
+            log_xhat[k] = xhat
+            log_ymeas[k] = y_dev
+            log_yused[k] = y_used
+            if k == last:
+                break
+
+            # --- controller ----------------------------------------------------
+            u_dev = -(K * xhat).sum(1)
+            if merged is not None:
+                # A freshly built merged chain restarts gain adaptation from
+                # L = 1 and is far too slow a filter to close the faulty
+                # machine's field loop through; that is exactly the
+                # switching hazard with no stability guarantee.  During
+                # augmented operation the faulty machine runs on its
+                # scheduled equilibrium field while estimation is rebuilt
+                # through the healthy member's sensor.
+                u_dev[fid] = 0.0
+            u_abs = u0 + u_dev
+
+            # --- observers (innovation sampled at the step start) --------------
+            e1 = y_used - Z[0]
+            Z_next = _rk4_chain(Z, y_used, coeffs * Lg ** powers, ICn * u_dev,
+                                dt)
+            Lg_next = gain_law(Lg, e1, dt, L_max, l_const)
+            if frozen is not None:
+                np.copyto(Z_next, Z, where=frozen)
+                np.copyto(Lg_next, Lg, where=frozen)
+            Z, Lg = Z_next, Lg_next
+            if merged is not None:
+                merged.step(y_used, u_dev, dt, L_max, l_const)
+
+            # --- plant -----------------------------------------------------------
+            k1 = _rhs_core(x, u_abs, rhs_k)
+            s = k1 * half
+            s += x
+            k2 = _rhs_core(s, u_abs, rhs_k)
+            np.multiply(k2, half, out=s)
+            s += x
+            k3 = _rhs_core(s, u_abs, rhs_k)
+            np.multiply(k3, dt, out=s)
+            s += x
+            k4 = _rhs_core(s, u_abs, rhs_k)
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            x += k2
+        self.Z, self.Lg, self.y_abs = Z, Lg, y_abs
+
+    def check(self, k0: int, k_end: int) -> bool:
+        """Divergence verdict on rows ``k0 .. k_end - 1``.
+
+        A row diverges when a state or logged estimate is not finite or an
+        angle deviation exceeds pi in magnitude.  The first such row gets a
+        ``diverged`` marker, the run's flag is set and True is returned.
+        """
+        x = self.log_x[k0:k_end]
+        finite = (np.isfinite(x).all(axis=2)
+                  & np.isfinite(self.log_xhat[k0:k_end]).all(axis=2))
+        ok = finite & (np.abs(x[..., 0]) <= math.pi)
+        if ok.all():
+            return False
+        r, i = np.argwhere(~ok)[0]
+        k = k0 + int(r)
+        reason = (f"angle deviation {x[r, i, 0]:.6g} rad exceeds pi"
+                  if finite[r, i] else "non-finite state or estimate")
+        self.events.append(EventMarker(
+            t=k * self.dt, step=k, kind="diverged", subsystem=int(i) + 1,
+            label=f"diverged:sub{int(i) + 1}", detail={"reason": reason}))
+        self.diverged = True
+        return True
+
+    def activate(self, f: FaultEvent, k: int) -> None:
+        """Fault ``f`` starts at step ``k``; a stuck sensor without its own
+        value holds the reading of the step before."""
+        held = (self.y_abs[f.subsystem - 1] if f.stuck_value is None
+                else f.stuck_value)
+        self.active.append((f, held))
+        self.events.append(EventMarker(
+            t=k * self.dt, step=k, kind="fault", subsystem=f.subsystem,
+            label=f"fault:sub{f.subsystem}:{f.kind}", detail=f.to_dict()))
+
+    def diagnose(self, f: FaultEvent, k: int) -> None:
+        """Fault ``f`` is diagnosed at step ``k``: plan and switch."""
+        scn, lin = self.scn, self.lin
+        sid = f.subsystem
+        others = tuple({g.subsystem for g, _ in self.active} - {sid})
+        plan = rftc_select(
+            sid, lin, scn.alpha, scn.xi,
+            faulty_C=fault_output_map(f, lin.Csub[sid - 1]),
+            j_max=scn.j_max if scn.j_max is not None else math.inf,
+            excluded_ids=others)
+        t = k * self.dt
+        self.plans.append((t, plan))
+        detail = {"mode": plan.mode, "J": plan.J,
+                  "augment_set": list(plan.augment_set)
+                  if plan.augment_set else None}
+        self.events.append(EventMarker(
+            t=t, step=k, kind="fdi", subsystem=sid,
+            label=f"fdi:sub{sid}:{plan.mode}", detail=detail))
+        if plan.mode == MODE_VIRTUAL_SENSOR:
+            self.vs_gain[sid - 1] = f.factor
+        elif (plan.mode == MODE_AUGMENTATION
+              and plan.observer_spec is not None
+              and plan.observer_spec.chain is not None):
+            spec = plan.observer_spec
+            xh_now = (self.Tn_inv @ self.Z.T[..., None])[..., 0]
+            merged = self.merged
+            if merged is not None:
+                xm = merged.estimates()
+                for mid in merged.ids:
+                    xh_now[mid - 1] = xm[merged.spec.index_map[mid]]
+            xcat = np.concatenate([xh_now[mid - 1] for mid in spec.ids])
+            self.dead.add(sid)
+            self.merged = _MergedObserver(spec, sid, xcat, self.dead)
+            self.frozen[sid - 1] = True
+            self.vs_gain.pop(sid - 1, None)
+        else:
+            self.unrecoverable = True
+
+    def finish(self, rows: int) -> TrajectoryLog:
+        log = TrajectoryLog(
+            scenario_name=self.scn.name, t=np.arange(rows) * self.dt,
+            x=self.log_x[:rows], xhat=self.log_xhat[:rows],
+            y_meas=self.log_ymeas[:rows], y_used=self.log_yused[:rows],
+            L=self.log_L[:rows], events=self.events, plans=self.plans,
+            unrecoverable=self.unrecoverable, diverged=self.diverged)
+        _attach_interaction_diagnostics(log, self.lin, self.Tn)
+        return log
+
+
 def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     """Execute one scenario on the shared RK4 grid and return the dense log.
 
@@ -509,202 +791,30 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     gains at t = k*dt before that step's integration.  Fault activations
     and diagnosis switches take effect at the top of their grid step, so a
     switch at t influences the measurement consumed at t.
+
+    The run is cut into segments at its event steps and, within those,
+    every ``DIVERGENCE_CHECK_STEPS`` steps.  After each segment the
+    divergence check runs on the rows just logged; a trip ends the run
+    there with the ``diverged`` flag set.
     """
     scn.validate()
-    plant = scn.plant
-    n = plant.n
-    dt = scn.dt
-    n_steps = int(round(scn.horizon / dt))
-    lin = plant.linearize()
-    rhs_k = _rhs_constants(plant.generators, plant.op, plant.network)
-    delta0 = plant.op.delta0
-    u0 = plant.op.Ef0
-    y_ref = delta0.copy()
-
-    if scn.controller.gains is not None:
-        K = np.asarray(scn.controller.gains, dtype=float)
-    else:
-        K = pole_placement_gains(lin, scn.controller.poles or DEFAULT_POLES)
-
-    # nominal observer bank in chain coordinates
-    chains = [to_chain_form(StateSpace(lin.A[i],
-                                       lin.Bsub[i].reshape(N_STATES, 1),
-                                       lin.Csub[i]))
-              for i in range(n)]
-    Tn = np.stack([c.T for c in chains])
-    Tn_inv = np.stack([c.T_inv for c in chains])
-    ICn = np.stack([c.input_chain.ravel() for c in chains])
-    coeffs = shaping_coefficients(N_STATES)
-    powers = np.arange(1, N_STATES + 1, dtype=float)
-    xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
-    Z = np.einsum("nij,nj->ni", Tn, xhat0)
-    Lg = np.ones(n)
-    nominal_active = np.ones(n, dtype=bool)
-    all_nominal = True          # skip the freeze masks until one is set
-    L_max = scn.observer.L_max
-    l_const = scn.observer.l_value if scn.observer.l_mode == "constant" else None
-
-    merged: Optional[_MergedObserver] = None
-    vs_gain: dict = {}          # 0-based subsystem -> modeled gain factor
-    dead_sensors: set = set()   # 1-based ids switched off by augmentation
-
-    x = np.zeros((n, N_STATES))
-    rng = np.random.default_rng(seed)
-    noise_amp = scn.noise_amplitude
-
-    rows = n_steps + 1
-    log_t = np.empty(rows)
-    log_x = np.empty((rows, n, N_STATES))
-    log_xhat = np.empty((rows, n, N_STATES))
-    log_ymeas = np.empty((rows, n))
-    log_yused = np.empty((rows, n))
-    log_L = np.empty((rows, n))
-    events: list = []
-    plans: list = []
-    unrecoverable = False
-
-    class _FaultRT:
-        __slots__ = ("ev", "start", "fdi", "applied", "held", "diagnosed")
-
-        def __init__(self, ev: FaultEvent):
-            self.ev = ev
-            self.start = _grid_index(ev.t_fault, dt)
-            self.fdi = _grid_index(ev.t_fault + ev.fdi_delay, dt)
-            self.applied = False
-            self.held = None
-            self.diagnosed = False
-
-    faults_rt = [_FaultRT(f) for f in scn.faults]
-    prev_abs = y_ref.copy()     # last measured absolute readings (for stuck)
-
-    def active_fault_ids() -> set:
-        return {fr.ev.subsystem for fr in faults_rt if fr.applied}
-
-    for k in range(rows):
-        t = k * dt
-
-        # --- timeline: activations, then diagnoses -----------------------
-        for fr in faults_rt:
-            if not fr.applied and k >= fr.start:
-                fr.applied = True
-                fr.held = (prev_abs[fr.ev.subsystem - 1]
-                           if fr.ev.stuck_value is None else fr.ev.stuck_value)
-                events.append(EventMarker(
-                    t=t, step=k, kind="fault", subsystem=fr.ev.subsystem,
-                    label=f"fault:sub{fr.ev.subsystem}:{fr.ev.kind}",
-                    detail=fr.ev.to_dict()))
-        if scn.reconfigure:
-            for fr in faults_rt:
-                if fr.applied and not fr.diagnosed and k >= fr.fdi:
-                    fr.diagnosed = True
-                    sid = fr.ev.subsystem
-                    faulty_C = fault_output_map(fr.ev, lin.Csub[sid - 1])
-                    others = tuple(active_fault_ids() - {sid})
-                    plan = rftc_select(
-                        sid, lin, scn.alpha, scn.xi, faulty_C=faulty_C,
-                        j_max=scn.j_max if scn.j_max is not None else math.inf,
-                        excluded_ids=others)
-                    plans.append((t, plan))
-                    detail = {"mode": plan.mode, "J": plan.J,
-                              "augment_set": list(plan.augment_set)
-                              if plan.augment_set else None}
-                    events.append(EventMarker(
-                        t=t, step=k, kind="fdi", subsystem=sid,
-                        label=f"fdi:sub{sid}:{plan.mode}", detail=detail))
-                    if plan.mode == MODE_VIRTUAL_SENSOR:
-                        vs_gain[sid - 1] = fr.ev.factor
-                    elif (plan.mode == MODE_AUGMENTATION
-                          and plan.observer_spec is not None
-                          and plan.observer_spec.chain is not None):
-                        spec = plan.observer_spec
-                        xh_now = (Tn_inv @ Z[..., None])[..., 0]
-                        if merged is not None:
-                            xm = merged.estimates()
-                            for mid in merged.ids:
-                                xh_now[mid - 1] = xm[merged.spec.index_map[mid]]
-                        xcat = np.concatenate([xh_now[mid - 1]
-                                               for mid in spec.ids])
-                        dead_sensors.add(sid)
-                        merged = _MergedObserver(spec, sid, xcat, dead_sensors)
-                        nominal_active[sid - 1] = False
-                        all_nominal = False
-                        vs_gain.pop(sid - 1, None)
-                    else:
-                        unrecoverable = True
-
-        # --- measurement --------------------------------------------------
-        y_abs = delta0 + x[:, 0]
-        if noise_amp > 0.0:
-            y_abs = y_abs + noise_amp * (2.0 * rng.random(n) - 1.0)
-        y_abs = measure(y_abs, [(fr.ev, fr.held) for fr in faults_rt
-                                if fr.applied])
-        prev_abs = y_abs
-        y_dev = y_abs - y_ref
-        y_used = y_dev.copy()
-        for i, factor in vs_gain.items():
-            y_used[i] = (y_abs[i] - factor * y_ref[i]) / factor
-
-        # --- estimates ------------------------------------------------------
-        xhat = (Tn_inv @ Z[..., None])[..., 0]
-        L_col = Lg.copy()
-        if merged is not None:
-            xm = merged.estimates()
-            fid = merged.faulty_id
-            xhat[fid - 1] = xm[merged.faulty_slice]
-            L_col[fid - 1] = merged.L
-
-        # --- log row --------------------------------------------------------
-        log_t[k] = t
-        log_x[k] = x
-        log_xhat[k] = xhat
-        log_ymeas[k] = y_dev
-        log_yused[k] = y_used
-        log_L[k] = L_col
-        if k == n_steps:
-            break
-
-        # --- controller -----------------------------------------------------
-        u_dev = -(K * xhat).sum(1)
-        if merged is not None:
-            # A freshly built merged chain restarts gain adaptation from
-            # L = 1 and is far too slow a filter to close the faulty
-            # machine's field loop through; that is exactly the switching
-            # hazard with no stability guarantee.  During augmented
-            # operation the faulty machine runs on its scheduled
-            # equilibrium field while estimation is rebuilt through the
-            # healthy member's sensor.
-            u_dev[merged.faulty_id - 1] = 0.0
-        u_abs = u0 + u_dev
-
-        # --- observer bank step (innovation sampled at the step start) ------
-        e1 = y_used - Z[:, 0]
-        g = coeffs * Lg[:, None] ** powers
-        uch = ICn * u_dev[:, None]
-        Z_next = _rk4_chain(Z, y_used, g, uch, dt)
-        Lg_next = gain_law(Lg, e1, dt, L_max, l_const)
-        if all_nominal:
-            Z, Lg = Z_next, Lg_next
-        else:
-            Z = np.where(nominal_active[:, None], Z_next, Z)
-            Lg = np.where(nominal_active, Lg_next, Lg)
-
-        # --- merged observer step -------------------------------------------
-        if merged is not None:
-            merged.step(y_used, u_dev, dt, L_max, l_const)
-
-        # --- plant step -------------------------------------------------------
-        k1 = _rhs_core(x, u_abs, rhs_k)
-        k2 = _rhs_core(x + 0.5 * dt * k1, u_abs, rhs_k)
-        k3 = _rhs_core(x + 0.5 * dt * k2, u_abs, rhs_k)
-        k4 = _rhs_core(x + dt * k3, u_abs, rhs_k)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-    log = TrajectoryLog(
-        scenario_name=scn.name, t=log_t, x=log_x, xhat=log_xhat,
-        y_meas=log_ymeas, y_used=log_yused, L=log_L,
-        events=events, plans=plans, unrecoverable=unrecoverable)
-    _attach_interaction_diagnostics(log, lin, Tn)
-    return log
+    eng = _Engine(scn, seed)
+    rows = eng.n_steps + 1
+    k = 0
+    for step, phase, i in _timeline(scn, eng.n_steps) + [(rows, None, None)]:
+        while k < step:
+            k_end = min(step, (k // DIVERGENCE_CHECK_STEPS + 1)
+                        * DIVERGENCE_CHECK_STEPS)
+            eng.advance(k, k_end)
+            tripped = eng.check(k, k_end)
+            k = k_end
+            if tripped:
+                return eng.finish(k)
+        if phase == 0:
+            eng.activate(scn.faults[i], step)
+        elif phase == 1:
+            eng.diagnose(scn.faults[i], step)
+    return eng.finish(rows)
 
 
 def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
@@ -734,7 +844,8 @@ def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
     For each fault the window runs to the next fault (or the horizon); the
     verdict is "recovered" when the deviation infinity-norm over the
     window's final settling-window stretch stays below 5 % of the window
-    peak.
+    peak.  A window that a divergence verdict cut short reads "diverged",
+    and a fault diagnosed as unrecoverable reads "unrecoverable".
     """
     out = []
     dev = np.max(np.abs(log.x), axis=(1, 2))
@@ -751,6 +862,8 @@ def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
         tail_max = float(tail.max()) if tail.size else 0.0
         verdict = "recovered" if (peak > 0 and tail_max < 0.05 * peak) \
             else "not-recovered"
+        if log.diverged and t_end >= t[-1]:
+            verdict = "diverged"
         plan_mode = None
         for tp, plan in log.plans:
             if plan.faulty_id == f.subsystem and tp >= t_start \
@@ -781,6 +894,7 @@ def build_report(scn: Scenario, log: TrajectoryLog,
         interaction_bounds=bounds,
         outputs=dict(outputs or {}),
         unrecoverable=log.unrecoverable,
+        diverged=log.diverged,
     )
 
 

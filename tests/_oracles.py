@@ -28,14 +28,6 @@ def currents_loops(delta_abs, E, G, B):
     return Id, Iq
 
 
-def power_loops(delta_abs, E, G, B):
-    """Active and reactive power from the loop-summed currents."""
-    Id, Iq = currents_loops(delta_abs, E, G, B)
-    Pe = np.array([E[i] * Iq[i] for i in range(len(E))])
-    Qe = np.array([E[i] * Id[i] for i in range(len(E))])
-    return Pe, Qe
-
-
 def derivatives_loops(x, u, D, H, omega0, Pm, Tdo, xd, xdp, delta0, E0, G, B):
     """Deviation dynamics composed one machine at a time."""
     n = len(delta0)
@@ -400,3 +392,225 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
                     "J": best["J"], "candidates": reports}
     return {"mode": "unrecoverable", "faulty_id": faulty_id, "P": None,
             "augment_set": None, "J": None, "candidates": reports}
+
+
+def _rhs_rows(x, u, k):
+    """Plant deviation dynamics on an (n, 3) state, one machine per row."""
+    E = k.E0 + x[:, 2]
+    w = np.exp(1j * (k.delta0 + x[:, 0]))
+    S = w.conj() * (k.Y @ (E * w))
+    Id, Iq = -S.imag, S.real
+    dx = np.empty_like(x)
+    dx[:, 0] = x[:, 1]
+    dx[:, 1] = k.drive - k.damp * x[:, 1] - k.gain * (E * Iq)
+    dx[:, 2] = (u - E - k.dxd * Id) * k.inv_Tdo
+    return dx
+
+
+def _chain_rk4_rows(Z, y, g, uch, dt):
+    """Chain-observer RK4 step with the chain axis last, one observer per
+    row of a 2-D ``Z``."""
+    def rhs(z):
+        dz = uch + g * (y - z[..., 0])[..., None]
+        dz[..., :-1] += z[..., 1:]
+        return dz
+
+    k1 = rhs(Z)
+    k2 = rhs(Z + 0.5 * dt * k1)
+    k3 = rhs(Z + 0.5 * dt * k2)
+    k4 = rhs(Z + dt * k3)
+    return Z + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _gain_rows(L, e1, dt, L_max, l_value):
+    l = L if l_value is None else l_value
+    return np.minimum(L_max, L + dt * ((e1 * e1) / (l * l)))
+
+
+def _measure_rows(y_abs, active):
+    y = np.array(y_abs, dtype=float)
+    for f, held in active:
+        i = f.subsystem - 1
+        if f.kind == "gain":
+            y[i] *= f.factor
+        elif f.kind == "stuck":
+            y[i] = held
+        else:
+            y[i] = 0.0
+    return y
+
+
+def run_scenario_loops(scn, seed=0):
+    """The closed-loop run as one loop over every grid step.
+
+    Every step re-scans the whole fault list for activations and diagnoses,
+    applies the active faults one by one and advances an (n, 3) plant state
+    and an (n, 3) bank of chain states (chain axis last).  The set-up
+    (linearization, feedback gains, chain transforms, plant constants) and
+    the reconfiguration search come from the package; the step itself does
+    not.  Returns a namespace with the dense logs ``t``, ``x``, ``xhat``,
+    ``y_meas``, ``y_used`` and ``L``, the ``events`` as dicts, the
+    ``plans`` as ``(t, plan dict)`` and ``unrecoverable``.
+    """
+    from gridftc.observability import StateSpace
+    from gridftc.observer import shaping_coefficients, to_chain_form
+    from gridftc.power_model import _rhs_constants
+    from gridftc.reconfig import fault_output_map, rftc_select
+    from gridftc.sim_engine import (DEFAULT_POLES, _grid_index,
+                                    pole_placement_gains)
+
+    plant = scn.plant
+    n = plant.n
+    dt = scn.dt
+    n_steps = int(round(scn.horizon / dt))
+    lin = plant.linearize()
+    rhs_k = _rhs_constants(plant.generators, plant.op, plant.network)
+    delta0 = plant.op.delta0
+    u0 = plant.op.Ef0
+    y_ref = delta0.copy()
+    if scn.controller.gains is not None:
+        K = np.asarray(scn.controller.gains, dtype=float)
+    else:
+        K = pole_placement_gains(lin, scn.controller.poles or DEFAULT_POLES)
+    chains = [to_chain_form(StateSpace(lin.A[i], lin.Bsub[i].reshape(3, 1),
+                                       lin.Csub[i])) for i in range(n)]
+    Tn = np.stack([c.T for c in chains])
+    Tn_inv = np.stack([c.T_inv for c in chains])
+    ICn = np.stack([c.input_chain.ravel() for c in chains])
+    coeffs = shaping_coefficients(3)
+    powers = np.arange(1, 4, dtype=float)
+    Z = np.einsum("nij,nj->ni", Tn,
+                  np.full((n, 3), scn.observer.initial_offset))
+    Lg = np.ones(n)
+    nominal_active = np.ones(n, dtype=bool)
+    L_max = scn.observer.L_max
+    l_const = scn.observer.l_value if scn.observer.l_mode == "constant" \
+        else None
+    merged = None           # dict: spec, z, L, weights, coeffs, powers
+    vs_gain = {}
+    dead = set()
+    x = np.zeros((n, 3))
+    rng = np.random.default_rng(seed)
+    rows = n_steps + 1
+    out = types.SimpleNamespace(
+        t=np.empty(rows), x=np.empty((rows, n, 3)),
+        xhat=np.empty((rows, n, 3)), y_meas=np.empty((rows, n)),
+        y_used=np.empty((rows, n)), L=np.empty((rows, n)), events=[],
+        plans=[], unrecoverable=False)
+    faults = [dict(ev=f, start=_grid_index(f.t_fault, dt),
+                   fdi=_grid_index(f.t_fault + f.fdi_delay, dt),
+                   applied=False, held=None, diagnosed=False)
+              for f in scn.faults]
+    prev_abs = y_ref.copy()
+
+    def merged_estimates():
+        return merged["spec"].chain.T_inv @ merged["z"]
+
+    for k in range(rows):
+        t = k * dt
+        for fr in faults:
+            if not fr["applied"] and k >= fr["start"]:
+                ev = fr["ev"]
+                fr["applied"] = True
+                fr["held"] = (prev_abs[ev.subsystem - 1]
+                              if ev.stuck_value is None else ev.stuck_value)
+                out.events.append(dict(
+                    t=t, step=k, kind="fault", subsystem=ev.subsystem,
+                    label=f"fault:sub{ev.subsystem}:{ev.kind}",
+                    detail=ev.to_dict()))
+        for fr in faults if scn.reconfigure else ():
+            if fr["applied"] and not fr["diagnosed"] and k >= fr["fdi"]:
+                ev = fr["ev"]
+                fr["diagnosed"] = True
+                sid = ev.subsystem
+                others = tuple({g["ev"].subsystem for g in faults
+                                if g["applied"]} - {sid})
+                plan = rftc_select(
+                    sid, lin, scn.alpha, scn.xi,
+                    faulty_C=fault_output_map(ev, lin.Csub[sid - 1]),
+                    j_max=scn.j_max if scn.j_max is not None else np.inf,
+                    excluded_ids=others)
+                out.plans.append((t, plan.to_dict()))
+                out.events.append(dict(
+                    t=t, step=k, kind="fdi", subsystem=sid,
+                    label=f"fdi:sub{sid}:{plan.mode}",
+                    detail={"mode": plan.mode, "J": plan.J,
+                            "augment_set": list(plan.augment_set)
+                            if plan.augment_set else None}))
+                spec = plan.observer_spec
+                if plan.mode == "virtual-sensor":
+                    vs_gain[sid - 1] = ev.factor
+                elif (plan.mode == "augmentation" and spec is not None
+                      and spec.chain is not None):
+                    xh_now = (Tn_inv @ Z[..., None])[..., 0]
+                    if merged is not None:
+                        xm = merged_estimates()
+                        for mid in merged["spec"].ids:
+                            xh_now[mid - 1] = \
+                                xm[merged["spec"].index_map[mid]]
+                    xcat = np.concatenate([xh_now[mid - 1]
+                                           for mid in spec.ids])
+                    dead.add(sid)
+                    m = spec.chain.n
+                    merged = dict(
+                        spec=spec, fid=sid, z=spec.chain.T @ xcat, L=1.0,
+                        coeffs=shaping_coefficients(m),
+                        powers=np.arange(1, m + 1, dtype=float),
+                        weights=np.where([i in dead for i in spec.ids], 0.0,
+                                         spec.output_weights))
+                    nominal_active[sid - 1] = False
+                    vs_gain.pop(sid - 1, None)
+                else:
+                    out.unrecoverable = True
+
+        y_abs = delta0 + x[:, 0]
+        if scn.noise_amplitude > 0.0:
+            y_abs = y_abs + scn.noise_amplitude * (2.0 * rng.random(n) - 1.0)
+        y_abs = _measure_rows(y_abs, [(fr["ev"], fr["held"]) for fr in faults
+                                      if fr["applied"]])
+        prev_abs = y_abs
+        y_dev = y_abs - y_ref
+        y_used = y_dev.copy()
+        for i, factor in vs_gain.items():
+            y_used[i] = (y_abs[i] - factor * y_ref[i]) / factor
+        xhat = (Tn_inv @ Z[..., None])[..., 0]
+        L_col = Lg.copy()
+        if merged is not None:
+            fid = merged["fid"]
+            xhat[fid - 1] = merged_estimates()[merged["spec"].index_map[fid]]
+            L_col[fid - 1] = merged["L"]
+        out.t[k] = t
+        out.x[k] = x
+        out.xhat[k] = xhat
+        out.y_meas[k] = y_dev
+        out.y_used[k] = y_used
+        out.L[k] = L_col
+        if k == n_steps:
+            break
+
+        u_dev = -(K * xhat).sum(1)
+        if merged is not None:
+            u_dev[merged["fid"] - 1] = 0.0
+        u_abs = u0 + u_dev
+        e1 = y_used - Z[:, 0]
+        Z_next = _chain_rk4_rows(Z, y_used, coeffs * Lg[:, None] ** powers,
+                                 ICn * u_dev[:, None], dt)
+        Lg_next = _gain_rows(Lg, e1, dt, L_max, l_const)
+        Z = np.where(nominal_active[:, None], Z_next, Z)
+        Lg = np.where(nominal_active, Lg_next, Lg)
+        if merged is not None:
+            spec = merged["spec"]
+            idx = np.array(spec.ids) - 1
+            y = float(merged["weights"] @ y_used[idx])
+            uch = spec.chain.input_chain @ u_dev[idx]
+            g = merged["coeffs"] * merged["L"] ** merged["powers"]
+            e1m = y - merged["z"][0]
+            merged["z"] = _chain_rk4_rows(merged["z"], y, g, uch, dt)
+            merged["L"] = _gain_rows(merged["L"], e1m, dt, L_max, l_const)
+
+        k1 = _rhs_rows(x, u_abs, rhs_k)
+        k2 = _rhs_rows(x + 0.5 * dt * k1, u_abs, rhs_k)
+        k3 = _rhs_rows(x + 0.5 * dt * k2, u_abs, rhs_k)
+        k4 = _rhs_rows(x + dt * k3, u_abs, rhs_k)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return out

@@ -86,6 +86,38 @@ def test_run_unrecoverable_exit_code(tmp_path, capsys):
     assert report["recovery"][0]["verdict"] == "unrecoverable"
 
 
+def test_run_summary_counts_steps(short_run, tmp_path, capsys):
+    scn_path, _ = short_run
+    assert main(["run", str(scn_path), "--out", str(tmp_path)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("scenario short: 2000 steps in ")
+    assert first.endswith(" us/step)")
+
+
+def test_run_divergence_exit_code(tmp_path, desk2, capsys):
+    scn = {
+        "name": "slip",
+        "plant": desk2.to_dict(),
+        "horizon": 5.0,
+        "dt": 1e-3,
+        "observer": {"initial_offset": 0.05},
+        "controller": {"gains": [[-5.0, -5.0, -5.0]] * 2},
+    }
+    path = tmp_path / "slip.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "diverged" in captured.err
+    assert captured.out.startswith("scenario slip: 2999 steps in ")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["diverged"] is True and report["unrecoverable"] is False
+    events = json.loads((tmp_path / "events.json").read_text())["events"]
+    assert [e["kind"] for e in events] == ["diverged"]
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 3001
+    assert lines[1 + events[0]["step"]].endswith(events[0]["label"])
+
+
 def test_out_env_var_fallback(short_run, tmp_path, monkeypatch):
     scn_path, _ = short_run
     monkeypatch.setenv("GRIDFTC_OUT", str(tmp_path))

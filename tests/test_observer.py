@@ -34,14 +34,14 @@ def test_chain_form_fixed_point():
     cf = to_chain_form(StateSpace(A=A, B=np.zeros((3, 1)),
                                   C=[[1.0, 0.0, 0.0]]))
     assert np.allclose(cf.T, np.eye(3), atol=1e-14)
-    assert np.allclose(cf.residual_row, 0.0, atol=1e-14)
+    assert np.allclose((cf.T @ A @ cf.T_inv)[-1], 0.0, atol=1e-14)
 
 
 def test_chain_form_companion_with_feedback():
     A = np.array([[0.0, 1.0], [-2.0, -3.0]])
     cf = to_chain_form(StateSpace(A=A, B=np.zeros((2, 1)), C=[[1.0, 0.0]]))
     assert np.allclose(cf.T, np.eye(2), atol=1e-14)
-    assert np.allclose(cf.residual_row, [-2.0, -3.0], atol=1e-13)
+    assert np.allclose((cf.T @ A @ cf.T_inv)[-1], [-2.0, -3.0], atol=1e-13)
 
 
 def test_chain_form_round_trip(rng):
@@ -50,7 +50,7 @@ def test_chain_form_round_trip(rng):
         cf = to_chain_form(sub)
         chain = np.zeros((3, 3))
         chain[0, 1] = chain[1, 2] = 1.0
-        chain[2] = cf.residual_row
+        chain[2] = (cf.T @ sub.A @ cf.T_inv)[-1]
         back = cf.T_inv @ chain @ cf.T
         assert np.max(np.abs(back - sub.A)) < 1e-10
         assert np.max(np.abs(cf.T @ cf.T_inv - np.eye(3))) <= 1e-10
@@ -92,17 +92,18 @@ def test_step_single_state_rk4():
 
 
 def _chain_case(rng, shape, n, m, l_mode, capped):
-    """Random chain-step arguments for a merged (1-D) or bank (2-D) state."""
-    lead = () if shape == "merged" else (m,)
-    Z = rng.uniform(-2.0, 2.0, lead + (n,))
-    y = rng.uniform(-2.0, 2.0, lead)
-    L = rng.uniform(1.0, 20.0, lead)
-    uch = rng.uniform(-1.0, 1.0, lead + (n,))
+    """Random chain-step arguments for a merged (1-D) or bank (2-D) state;
+    the bank is chain-axis first, one observer per column."""
+    trail = () if shape == "merged" else (m,)
+    Z = rng.uniform(-2.0, 2.0, (n,) + trail)
+    y = rng.uniform(-2.0, 2.0, trail)
+    L = rng.uniform(1.0, 20.0, trail)
+    uch = rng.uniform(-1.0, 1.0, (n,) + trail)
     dt = float(rng.uniform(1e-4, 0.05))
     l_value = float(rng.uniform(0.5, 3.0)) if l_mode == "constant" else None
     if shape == "merged":
         y, L = float(y), float(L)
-    e1 = y - Z[..., 0]
+    e1 = y - Z[0]
     l = L if l_value is None else l_value
     L_max = 1e3
     if capped:  # halfway to the first uncapped update: the cap is reached
@@ -118,14 +119,15 @@ def test_chain_step_matches_loop_oracle(shape, n, m, seed, l_mode, capped):
     rng = np.random.default_rng(seed)
     Z, y, L, uch, dt, L_max, l_value = _chain_case(rng, shape, n, m, l_mode,
                                                    capped)
-    g = shaping_coefficients(n) * np.asarray(L)[..., None] \
-        ** np.arange(1, n + 1, dtype=float)
+    col = (slice(None),) + (None,) * (Z.ndim - 1)
+    g = shaping_coefficients(n)[col] * np.asarray(L) \
+        ** np.arange(1, n + 1, dtype=float)[col]
     Z_next = chain_rk4(Z, y, g, uch, dt)
-    L_next = gain_law(L, y - Z[..., 0], dt, L_max, l_value)
+    L_next = gain_law(L, y - Z[0], dt, L_max, l_value)
     assert Z_next.shape == Z.shape and np.shape(L_next) == np.shape(L)
-    rows = [(Z, y, g, uch, L, Z_next, L_next)] if shape == "merged" else \
-        zip(Z, y, g, uch, L, Z_next, L_next)
-    for z, yr, gr, ur, Lr, z_next, L_row in rows:
+    cols = [(Z, y, g, uch, L, Z_next, L_next)] if shape == "merged" else \
+        zip(Z.T, y, g.T, uch.T, L, Z_next.T, L_next)
+    for z, yr, gr, ur, Lr, z_next, L_row in cols:
         ref_z, ref_L = orc.chain_step_loops(z, yr, gr, ur, dt, float(Lr),
                                             L_max, l_value)
         assert np.asarray(ref_z).tobytes() == z_next.tobytes()
@@ -141,23 +143,23 @@ def test_desk2_convergence_with_random_offsets(desk2, rng):
                                        B=lin.Bsub[i].reshape(3, 1),
                                        C=lin.Csub[i]))
               for i in range(2)]
-    coeffs = shaping_coefficients(3)
-    powers = np.arange(1, 4, dtype=float)
-    no_input = np.zeros((2, 3))
+    coeffs = shaping_coefficients(3)[:, None]
+    powers = np.arange(1, 4, dtype=float)[:, None]
+    no_input = np.zeros((3, 2))
     pa = desk2.generators
     dt = 1e-3
     for _ in range(3):
         x = np.zeros((2, 3))
         offs = rng.uniform(-1.0, 1.0, (2, 3))
         offs /= max(1.0, np.max(np.abs(offs)))
-        Z = np.stack([chains[i].to_chain(offs[i]) for i in range(2)])
+        Z = np.stack([chains[i].T @ offs[i] for i in range(2)], axis=1)
         L = np.ones(2)
         u0 = desk2.op.Ef0
         L_hist = []
         for k in range(20000):
             y = x[:, 0]
-            e1 = y - Z[:, 0]
-            Z = chain_rk4(Z, y, coeffs * L[:, None] ** powers, no_input, dt)
+            e1 = y - Z[0]
+            Z = chain_rk4(Z, y, coeffs * L ** powers, no_input, dt)
             L = gain_law(L, e1, dt, DEFAULT_L_MAX)
             L_hist.append(L)
             k1 = derivatives(x, u0, pa, desk2.op, desk2.network)
@@ -167,7 +169,7 @@ def test_desk2_convergence_with_random_offsets(desk2, rng):
                              desk2.network)
             k4 = derivatives(x + dt * k3, u0, pa, desk2.op, desk2.network)
             x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        err = max(np.max(np.abs(x[i] - chains[i].from_chain(Z[i])))
+        err = max(np.max(np.abs(x[i] - chains[i].T_inv @ Z[:, i]))
                   for i in range(2))
         assert err < 1e-2
         L_hist = np.asarray(L_hist)

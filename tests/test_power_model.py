@@ -12,7 +12,6 @@ from gridftc.power_model import (
     construct_equilibrium,
     currents,
     derivatives,
-    electrical_power,
     linearize,
     load_plant,
     save_plant,
@@ -85,48 +84,6 @@ def test_currents_rejects_wrong_state_size():
         currents(np.zeros(5), op, net)
 
 
-# ---------------------------------------------------------- electrical power
-
-
-def test_power_identity_pe_equals_e_times_iq(rng):
-    net = NetworkModel(G=rng.uniform(0, 0.4, (4, 4)) * 0,
-                       B=np.diag(rng.uniform(-2, -1, 4)))
-    op = OperatingPoint(delta0=rng.uniform(0, 1, 4),
-                        Eq_prime0=rng.uniform(0.9, 1.1, 4),
-                        Ef0=np.ones(4))
-    x = rng.uniform(-0.3, 0.3, (4, 3))
-    Pe, _ = electrical_power(x, op, net)
-    _, Iq = currents(x, op, net)
-    E = op.Eq_prime0 + x[:, 2]
-    assert np.array_equal(Pe, E * Iq)
-
-
-def test_power_single_machine_values():
-    net = NetworkModel(G=[[0.2]], B=[[0.4]])
-    op = OperatingPoint(delta0=[1.1], Eq_prime0=[1.0], Ef0=[1.0])
-    Pe, Qe = electrical_power(np.zeros((1, 3)), op, net)
-    assert Pe[0] == pytest.approx(0.2, abs=1e-15)
-    assert Qe[0] == pytest.approx(-0.4, abs=1e-15)
-
-
-def test_power_matches_loop_oracle(rng):
-    for _ in range(25):
-        M = rng.uniform(-0.5, 0.5, (4, 4))
-        G = 0.5 * (M + M.T)
-        M = rng.uniform(-2.0, 0.5, (4, 4))
-        B = 0.5 * (M + M.T)
-        net = NetworkModel(G=G, B=B)
-        op = OperatingPoint(delta0=rng.uniform(0, 1, 4),
-                            Eq_prime0=rng.uniform(0.9, 1.2, 4),
-                            Ef0=np.ones(4))
-        x = rng.uniform(-0.4, 0.4, (4, 3))
-        Pe, Qe = electrical_power(x, op, net)
-        Pe_ref, Qe_ref = orc.power_loops(op.delta0 + x[:, 0],
-                                         op.Eq_prime0 + x[:, 2], G, B)
-        assert np.max(np.abs(Pe - Pe_ref)) < 1e-12
-        assert np.max(np.abs(Qe - Qe_ref)) < 1e-12
-
-
 # -------------------------------------------------------------- derivatives
 
 
@@ -143,7 +100,8 @@ def test_derivatives_damping_term_isolated():
     params = make_params(1, D=2.0, H=1.0)
     op = OperatingPoint(delta0=[0.5], Eq_prime0=[1.0], Ef0=[1.0])
     x = np.array([[0.0, 1.0, 0.0]])
-    Pe, _ = electrical_power(x, op, net)
+    _, Iq = currents(x, op, net)
+    Pe = op.Eq_prime0 * Iq      # E'_q Iq; x carries no EMF deviation
     params = [GeneratorParams(D=2.0, H=1.0, omega0=OMEGA0, Pm=float(Pe[0]),
                               Tdo_prime=6.0, xd=1.6, xd_prime=0.32, xad=1.35)]
     dx = derivatives(x, op.Ef0, params, op, net)

@@ -14,6 +14,7 @@ from gridftc.power_model import (
 from gridftc.desk_models import data_path
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
+    DIVERGENCE_CHECK_STEPS,
     ControllerConfig,
     ObserverConfig,
     Scenario,
@@ -24,7 +25,6 @@ from gridftc.sim_engine import (
     build_report,
     load_scenario,
     measure,
-    nominal_controller,
     pole_placement_gains,
     recovery_summary,
     run_scenario,
@@ -246,14 +246,6 @@ def test_pole_placement_hits_targets(desk2):
         assert np.allclose(got, np.sort(poles), atol=1e-8)
 
 
-def test_nominal_controller_is_feedforward_at_zero():
-    u0 = np.array([1.2, 0.9])
-    assert np.array_equal(nominal_controller(np.zeros((2, 3)),
-                                             np.ones((2, 3)), u0), u0)
-    u = nominal_controller([[1.0, 0.0, 2.0]], [[0.5, 1.0, 0.25]], [3.0])
-    assert u == pytest.approx([3.0 - 1.0])
-
-
 # ------------------------------------------------------------------- runs
 
 
@@ -398,6 +390,47 @@ def test_isolated_machine_is_unrecoverable():
     assert [m.label for m in log.events] == ["fault:sub1:total-loss",
                                              "fdi:sub1:unrecoverable"]
     assert recovery_summary(scn, log)[0]["verdict"] == "unrecoverable"
+
+
+def diverging_scenario(plant, gains):
+    """Five seconds of desk2 under feedback gains that do not hold it, with
+    a gain fault that the divergence verdict comes before."""
+    late = FaultEvent(t_fault=4.0, subsystem=1, kind="gain", factor=0.5,
+                      fdi_delay=0.5)
+    return Scenario(plant=plant, horizon=5.0, dt=1e-3, faults=(late,),
+                    settling_window=1.0,
+                    observer=ObserverConfig(initial_offset=0.05),
+                    controller=ControllerConfig(
+                        gains=np.tile(gains, (plant.n, 1))),
+                    name="diverging")
+
+
+@pytest.mark.parametrize("gains, first_bad", [
+    # the angles pass pi at row 862; without the check the state turns
+    # non-finite at row 1301 and the run goes on to the horizon
+    ([-200.0, 0.0, 0.0], 862),
+    # the machines slip, to 9.17 rad by the horizon without the check
+    ([-5.0, -5.0, -5.0], 2864),
+])
+def test_divergence_verdict_ends_the_run(desk2, gains, first_bad):
+    scn = diverging_scenario(desk2, gains)
+    log = run_scenario(scn, seed=0)
+    assert log.diverged and not log.unrecoverable
+    # the run ends at the check after the first bad row, with every row
+    # logged so far
+    rows = (first_bad // DIVERGENCE_CHECK_STEPS + 1) * DIVERGENCE_CHECK_STEPS
+    assert log.t.shape == (rows,) and log.x.shape == (rows, 2, 3)
+    marker = log.events[-1]
+    assert (marker.kind, marker.step) == ("diverged", first_bad)
+    assert marker.label == f"diverged:sub{marker.subsystem}"
+    assert "exceeds pi" in marker.detail["reason"]
+    assert np.max(np.abs(log.x[:first_bad, :, 0])) <= np.pi
+    assert np.max(np.abs(log.x[first_bad, :, 0])) > np.pi
+    report = build_report(scn, log).to_dict()
+    assert report["diverged"] is True
+    # the run ended before the fault it scheduled: its verdict says why
+    assert [m.kind for m in log.events] == ["diverged"]
+    assert [r["verdict"] for r in report["recovery"]] == ["diverged"]
 
 
 def test_noise_is_seeded(desk2, tmp_path):
