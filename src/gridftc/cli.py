@@ -103,10 +103,7 @@ def cmd_run(args) -> int:
     log = run_scenario(scn, seed=args.seed)
     wall = time.perf_counter() - t0
 
-    names = {"trajectory": "trajectory.csv", "events": "events.json",
-             "report": "report.json"}
-    names.update(scn.outputs)
-    paths = {key: out / name for key, name in names.items()}
+    paths = {key: out / name for key, name in scn.outputs.items()}
     write_trajectory_csv(log, paths["trajectory"])
     write_events_json(log, paths["events"])
     report = build_report(scn, log, wall_time_s=wall,
@@ -249,50 +246,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridftc",
         description="Sensor-fault-tolerant reconfiguration simulator")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="numeric rank / screening tolerance")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the measurement-noise generator")
-    common.add_argument("--out", default=None,
-                        help=f"output directory (default: ${OUT_ENV_VAR} "
-                        "or the working directory)")
+    # Each subcommand takes only the flags it reads.
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", default=None,
+                         help=f"output directory (default: ${OUT_ENV_VAR} "
+                         "or the working directory)")
+
+    fault_opts = argparse.ArgumentParser(add_help=False)
+    fault_opts.add_argument("--tol", type=float, default=1e-9,
+                            help="numeric rank / screening tolerance")
+    fault_opts.add_argument("--fault", default=None,
+                            choices=["gain", "stuck", "total-loss"],
+                            help="sensor fault kind to analyze")
+    fault_opts.add_argument("--subsystem", type=int, default=None,
+                            help="1-based faulty subsystem id")
+    fault_opts.add_argument("--factor", type=float, default=1.0,
+                            help="gain-fault scale factor")
+    fault_opts.add_argument("--sensor-row", type=int, default=0,
+                            help="faulty output row of the subsystem")
+    fault_opts.add_argument("--alpha", type=float, default=100.0,
+                            help="observability-weakness weight")
+    fault_opts.add_argument("--xi", type=float, default=50.0,
+                            help="functionality-gap weight")
+    fault_opts.add_argument("--j-max", type=float, default=None,
+                            help="cost cap for admissible candidates")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[out_opt],
                        help="simulate a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the measurement-noise generator")
     p.set_defaults(func=cmd_run)
 
-    fault_common = argparse.ArgumentParser(add_help=False)
-    fault_common.add_argument("--fault", default=None,
-                              choices=["gain", "stuck", "total-loss"],
-                              help="sensor fault kind to analyze")
-    fault_common.add_argument("--subsystem", type=int, default=None,
-                              help="1-based faulty subsystem id")
-    fault_common.add_argument("--factor", type=float, default=1.0,
-                              help="gain-fault scale factor")
-    fault_common.add_argument("--sensor-row", type=int, default=0,
-                              help="faulty output row of the subsystem")
-    fault_common.add_argument("--alpha", type=float, default=100.0,
-                              help="observability-weakness weight")
-    fault_common.add_argument("--xi", type=float, default=50.0,
-                              help="functionality-gap weight")
-    fault_common.add_argument("--j-max", type=float, default=None,
-                              help="cost cap for admissible candidates")
-
-    p = sub.add_parser("analyze", parents=[common, fault_common],
+    p = sub.add_parser("analyze", parents=[fault_opts],
                        help="observability and candidate-cost study")
     p.add_argument("plant", help="plant JSON file")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("plan", parents=[common, fault_common],
+    p = sub.add_parser("plan", parents=[fault_opts],
                        help="chosen reconfiguration plan for one fault")
     p.add_argument("plant", help="plant JSON file")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("plotdata", parents=[common],
+    p = sub.add_parser("plotdata", parents=[out_opt],
                        help="extract plot series from a trajectory CSV")
     p.add_argument("trajectory", help="trajectory CSV from a run")
     p.add_argument("selector", nargs="+",
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep every stride-th row")
     p.set_defaults(func=cmd_plotdata)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate",
                        help="validate and round-trip a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.set_defaults(func=cmd_validate)

@@ -28,8 +28,6 @@ __all__ = [
     "kalman_rank",
     "structurally_observable",
     "cascade_observable",
-    "adjugate_coeffs",
-    "eval_adjugate",
     "obs_gramian",
     "ctrl_gramian",
     "hf_norm_sq",

@@ -148,8 +148,8 @@ def interaction_bound_estimate(traj, min_activity: float = 1e-9) -> np.ndarray:
     chain = getattr(traj, "chain_true", None)
     if inter is None or chain is None or len(inter) == 0:
         raise ValueError(
-            "trajectory carries no interaction diagnostics; run the scenario "
-            "with diagnostics enabled"
+            "trajectory carries no interaction diagnostics (interactions and "
+            "chain_true); pass the log that run_scenario returns"
         )
     inter = np.asarray(inter, dtype=float)
     chain = np.asarray(chain, dtype=float)

@@ -379,7 +379,12 @@ def _spec_for(aug: AugmentedSystem, tol: float) -> ObserverSpec:
 
 @dataclass
 class ReconfigPlan:
-    """Outcome of the reconfiguration search for one fault."""
+    """Outcome of the reconfiguration search for one fault.
+
+    ``observer_spec`` describes the merged observer of an augmentation plan
+    and is None otherwise: a virtual sensor keeps the faulty subsystem's
+    nominal chain observer, fed the corrected reading.
+    """
 
     mode: str
     faulty_id: int
@@ -435,20 +440,10 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         if np.any(faulty_C):
             _, still_obs = kalman_rank(lin.A[f], faulty_C, tol)
             if still_obs:
-                chain = to_chain_form(
-                    StateSpace(A=lin.A[f], B=lin.Bsub[f], C=Csub), tol
-                )
-                spec = ObserverSpec(
-                    ids=(faulty_id,),
-                    index_map={faulty_id: slice(0, N_STATES)},
-                    chain=chain,
-                    output_weights=np.ones(1),
-                )
                 return ReconfigPlan(
                     mode=MODE_VIRTUAL_SENSOR,
                     faulty_id=faulty_id,
                     P=default_P(Csub, rows),
-                    observer_spec=spec,
                 )
 
     if j_max is None:

@@ -5,6 +5,10 @@ multi-machine plant, a bank of per-subsystem adaptive chain observers,
 per-subsystem state feedback, and the fault/diagnosis/reconfiguration
 timeline.  Runs are bitwise deterministic for a fixed scenario and seed.
 
+The feedback is the scenario's gain matrix acting on the estimates, so the
+nominal controller stays in the loop and never sees the fault; a scenario
+without gains runs with no feedback (field voltages held at ``Ef0``).
+
 Measurement convention
 ----------------------
 Sensors report absolute rotor angles; the loop works in deviation
@@ -81,7 +85,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.signal import place_poles
 
 from .observability import StateSpace
 from .observer import (
@@ -108,8 +111,10 @@ from .reconfig import (
     rftc_select,
 )
 
-DEFAULT_POLES = (-1.2, -1.7, -2.4)
 DEFAULT_SETTLING_WINDOW = 10.0
+# The files a run writes, by key; a scenario's ``outputs`` renames some.
+DEFAULT_OUTPUTS = {"trajectory": "trajectory.csv", "events": "events.json",
+                   "report": "report.json"}
 # Rows between two divergence checks; event steps also end a checked segment.
 DIVERGENCE_CHECK_STEPS = 1000
 
@@ -151,25 +156,16 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Per-subsystem state feedback: explicit gains or pole targets."""
+    """Per-subsystem state feedback ``u_i = Ef0_i - gains[i] @ xhat_i``.
 
-    poles: Optional[tuple] = None
+    ``gains`` has one row of three gains per subsystem.  Without gains
+    there is no feedback: every field voltage stays at its equilibrium
+    ``Ef0``.
+    """
+
     gains: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.poles is not None and self.gains is not None:
-            raise ScenarioError("controller", "give either poles or gains, not both")
-        if self.poles is not None:
-            p = tuple(float(v) for v in self.poles)
-            if len(p) != N_STATES:
-                raise ScenarioError("controller.poles",
-                                    f"need {N_STATES} poles, got {len(p)}")
-            if any(v >= 0 for v in p):
-                raise ScenarioError("controller.poles", "poles must be negative")
-            if len(set(p)) != len(p):
-                raise ScenarioError("controller.poles",
-                                    "poles must be distinct (single-input placement)")
-            object.__setattr__(self, "poles", p)
         if self.gains is not None:
             g = np.asarray(self.gains, dtype=float)
             if g.ndim != 2 or g.shape[1] != N_STATES:
@@ -196,11 +192,7 @@ class Scenario:
     reconfigure: bool = True
     name: str = "scenario"
     plant_ref: Optional[str] = None
-    outputs: dict = field(default_factory=lambda: {
-        "trajectory": "trajectory.csv",
-        "events": "events.json",
-        "report": "report.json",
-    })
+    outputs: dict = field(default_factory=lambda: dict(DEFAULT_OUTPUTS))
 
     def validate(self) -> None:
         if not self.dt > 0:
@@ -293,16 +285,21 @@ class Scenario:
 
         ctl_d = dict(d.get("controller", {}))
         for key in ctl_d:
-            if key not in ("poles", "gains"):
+            if key != "gains":
                 raise ScenarioError(f"controller.{key}", "unknown controller field")
-        if not ctl_d:
-            ctl_d = {"poles": DEFAULT_POLES}
         controller = ControllerConfig(**ctl_d)
 
         weights = dict(d.get("weights", {}))
         for key in weights:
             if key not in ("alpha", "xi"):
                 raise ScenarioError(f"weights.{key}", "unknown weight field")
+
+        outputs = dict(d.get("outputs", {}))
+        for key, name in outputs.items():
+            if key not in DEFAULT_OUTPUTS:
+                raise ScenarioError(f"outputs.{key}", "unknown output")
+            if not isinstance(name, str) or not name:
+                raise ScenarioError(f"outputs.{key}", "must be a file name")
 
         scn = cls(
             plant=plant,
@@ -320,21 +317,14 @@ class Scenario:
             reconfigure=bool(d.get("reconfigure", True)),
             name=str(d.get("name", "scenario")),
             plant_ref=plant_ref,
-            outputs=dict(d.get("outputs", {
-                "trajectory": "trajectory.csv",
-                "events": "events.json",
-                "report": "report.json",
-            })),
+            outputs={**DEFAULT_OUTPUTS, **outputs},
         )
         scn.validate()
         return scn
 
     def to_dict(self) -> dict:
         obs = self.observer
-        ctl = self.controller
-        controller = ({"poles": list(ctl.poles)} if ctl.poles is not None
-                      else {"gains": ctl.gains.tolist()}
-                      if ctl.gains is not None else {})
+        gains = self.controller.gains
         return {
             "name": self.name,
             "plant": self.plant_ref if self.plant_ref is not None
@@ -345,7 +335,7 @@ class Scenario:
             "observer": {"l_mode": obs.l_mode, "l_value": obs.l_value,
                          "L_max": obs.L_max,
                          "initial_offset": obs.initial_offset},
-            "controller": controller,
+            "controller": {} if gains is None else {"gains": gains.tolist()},
             "weights": {"alpha": self.alpha, "xi": self.xi},
             "j_max": self.j_max,
             "noise_amplitude": self.noise_amplitude,
@@ -439,17 +429,6 @@ class RunReport:
             "unrecoverable": self.unrecoverable,
             "diverged": self.diverged,
         }
-
-
-def pole_placement_gains(lin, poles: Sequence[float] = DEFAULT_POLES) -> np.ndarray:
-    """Per-subsystem feedback rows K with eig(A_i - B_i K_i) at ``poles``."""
-    poles = np.sort(np.asarray(poles, dtype=float))
-    n = lin.n
-    K = np.zeros((n, N_STATES))
-    for i in range(n):
-        res = place_poles(lin.A[i], lin.Bsub[i].reshape(N_STATES, 1), poles)
-        K[i] = res.gain_matrix.ravel()
-    return K
 
 
 def measure(readings, active: Sequence[tuple] = ()) -> np.ndarray:
@@ -561,11 +540,8 @@ class _Engine:
         self.rhs_k = _rhs_constants(plant.generators, plant.op, plant.network)
         self.y_ref = plant.op.delta0
         self.u0 = plant.op.Ef0
-        if scn.controller.gains is not None:
-            self.K = np.asarray(scn.controller.gains, dtype=float)
-        else:
-            self.K = pole_placement_gains(lin,
-                                          scn.controller.poles or DEFAULT_POLES)
+        gains = scn.controller.gains
+        self.K = np.zeros((n, N_STATES)) if gains is None else gains
 
         # nominal observer bank in chain coordinates, chain axis first
         chains = [to_chain_form(StateSpace(lin.A[i],

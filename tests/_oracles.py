@@ -445,19 +445,19 @@ def run_scenario_loops(scn, seed=0):
 
     Every step re-scans the whole fault list for activations and diagnoses,
     applies the active faults one by one and advances an (n, 3) plant state
-    and an (n, 3) bank of chain states (chain axis last).  The set-up
-    (linearization, feedback gains, chain transforms, plant constants) and
-    the reconfiguration search come from the package; the step itself does
-    not.  Returns a namespace with the dense logs ``t``, ``x``, ``xhat``,
-    ``y_meas``, ``y_used`` and ``L``, the ``events`` as dicts, the
-    ``plans`` as ``(t, plan dict)`` and ``unrecoverable``.
+    and an (n, 3) bank of chain states (chain axis last).  The feedback
+    gains are the scenario's, else zeros.  The set-up (linearization, chain
+    transforms, plant constants) and the reconfiguration search come from
+    the package; the step itself does not.  Returns a namespace with the
+    dense logs ``t``, ``x``, ``xhat``, ``y_meas``, ``y_used`` and ``L``, the
+    ``events`` as dicts, the ``plans`` as ``(t, plan dict)`` and
+    ``unrecoverable``.
     """
     from gridftc.observability import StateSpace
     from gridftc.observer import shaping_coefficients, to_chain_form
     from gridftc.power_model import _rhs_constants
     from gridftc.reconfig import fault_output_map, rftc_select
-    from gridftc.sim_engine import (DEFAULT_POLES, _grid_index,
-                                    pole_placement_gains)
+    from gridftc.sim_engine import _grid_index
 
     plant = scn.plant
     n = plant.n
@@ -468,10 +468,8 @@ def run_scenario_loops(scn, seed=0):
     delta0 = plant.op.delta0
     u0 = plant.op.Ef0
     y_ref = delta0.copy()
-    if scn.controller.gains is not None:
-        K = np.asarray(scn.controller.gains, dtype=float)
-    else:
-        K = pole_placement_gains(lin, scn.controller.poles or DEFAULT_POLES)
+    K = (np.zeros((n, 3)) if scn.controller.gains is None
+         else np.asarray(scn.controller.gains, dtype=float))
     chains = [to_chain_form(StateSpace(lin.A[i], lin.Bsub[i].reshape(3, 1),
                                        lin.Csub[i])) for i in range(n)]
     Tn = np.stack([c.T for c in chains])

@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridftc
 from gridftc.cli import main
 from gridftc.desk_models import data_path
 from test_sim_engine import island_plant
@@ -55,12 +59,17 @@ def test_run_missing_scenario(tmp_path, capsys):
 
 def test_run_reports_bad_field(short_run, tmp_path, capsys):
     scn_path, _ = short_run
-    d = json.loads(scn_path.read_text())
-    d["dt"] = 0.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(d))
-    assert main(["run", str(bad)]) == 2
-    assert "'dt'" in capsys.readouterr().err
+    for key, value, field in [
+            ("dt", 0.0, "dt"),
+            ("controller", {"poles": [-1.2, -1.7, -2.4]}, "controller.poles"),
+            ("outputs", {"traj": "mytraj.csv"}, "outputs.traj")]:
+        d = json.loads(scn_path.read_text())
+        d[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "mytraj.csv").exists()
 
 
 def test_run_unrecoverable_exit_code(tmp_path, capsys):
@@ -80,8 +89,14 @@ def test_run_unrecoverable_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(scn))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 3
     assert "unrecoverable" in capsys.readouterr().err
-    assert (tmp_path / "island.csv").exists()      # custom name honored
+    # the custom name is honored and the other files keep their defaults
+    assert (tmp_path / "island.csv").exists()
+    assert (tmp_path / "events.json").exists()
     report = json.loads((tmp_path / "report.json").read_text())
+    assert report["outputs"] == {
+        key: str(tmp_path / name) for key, name in [
+            ("trajectory", "island.csv"), ("events", "events.json"),
+            ("report", "report.json")]}
     assert report["unrecoverable"] is True
     assert report["recovery"][0]["verdict"] == "unrecoverable"
 
@@ -116,6 +131,36 @@ def test_run_divergence_exit_code(tmp_path, desk2, capsys):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 3001
     assert lines[1 + events[0]["step"]].endswith(events[0]["label"])
+
+
+def test_subcommands_reject_flags_they_ignore(short_run, desk5_plant_path,
+                                              tmp_path):
+    scn_path, out = short_run
+    scn, traj = str(scn_path), str(out / "trajectory.csv")
+    fault = ["--fault", "gain", "--subsystem", "5", "--factor", "0.4"]
+    for argv in (["run", scn, "--tol", "3"],
+                 ["analyze", desk5_plant_path, "--seed", "9"],
+                 ["analyze", desk5_plant_path, "--out", str(tmp_path)],
+                 ["plan", desk5_plant_path, *fault, "--seed", "9"],
+                 ["plan", desk5_plant_path, *fault, "--out", str(tmp_path)],
+                 ["plotdata", traj, "sub1_x1", "--tol", "3"],
+                 ["plotdata", traj, "sub1_x1", "--seed", "9"],
+                 ["plotdata", traj, "sub1_x1", "--fault", "gain"],
+                 ["validate", scn, "--seed", "9"],
+                 ["validate", scn, "--tol", "3"],
+                 ["validate", scn, "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_import_leaves_scipy_signal_out():
+    src = Path(gridftc.__file__).resolve().parents[1]
+    code = ("import sys, gridftc, gridftc.cli; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_out_env_var_fallback(short_run, tmp_path, monkeypatch):

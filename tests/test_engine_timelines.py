@@ -21,6 +21,7 @@ from gridftc.sim_engine import (
 
 PLANTS = {"desk4": desk4_plant(), "desk5": desk5_plant()}
 GENTLE = [-0.003, -0.03, 0.0]
+STRONG = [-50.0, -50.0, -50.0]  # drives many runs to the divergence verdict
 MODES = {"virtual-sensor", "augmentation", "unrecoverable"}
 DEAD_READING = 7.0
 
@@ -53,8 +54,8 @@ def timelines(draw):
         reconfigure=draw(st.sampled_from([True, True, False])),
         noise_amplitude=draw(st.sampled_from([0.0, 1e-3])),
         observer=ObserverConfig(initial_offset=draw(st.floats(0.0, 0.05))),
-        controller=ControllerConfig(gains=np.tile(GENTLE, (n, 1)))
-        if gentle else ControllerConfig(poles=(-1.2, -1.7, -2.4)),
+        controller=ControllerConfig(
+            gains=np.tile(GENTLE if gentle else STRONG, (n, 1))),
         j_max=draw(st.sampled_from([None, 20.0])),
         name="timeline")
 

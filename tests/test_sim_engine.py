@@ -25,7 +25,6 @@ from gridftc.sim_engine import (
     build_report,
     load_scenario,
     measure,
-    pole_placement_gains,
     recovery_summary,
     run_scenario,
     write_events_json,
@@ -137,12 +136,10 @@ def test_validate_rejects_a_second_merged_observer(desk5):
 
 def test_controller_config_checks(desk2):
     with pytest.raises(ScenarioError) as err:
-        ControllerConfig(poles=(-1.0, -2.0, -3.0), gains=np.zeros((2, 3)))
-    assert err.value.field == "controller"
-    for poles in [(-1.0, -2.0), (-1.0, -1.0, -2.0), (-1.0, 2.0, -3.0)]:
-        with pytest.raises(ScenarioError) as err:
-            ControllerConfig(poles=poles)
-        assert err.value.field == "controller.poles"
+        Scenario.from_dict({"plant": desk2.to_dict(), "horizon": 5.0,
+                            "dt": 1e-3,
+                            "controller": {"poles": [-1.2, -1.7, -2.4]}})
+    assert err.value.field == "controller.poles"
     with pytest.raises(ScenarioError) as err:
         ControllerConfig(gains=np.zeros((2, 4)))
     assert err.value.field == "controller.gains"
@@ -179,6 +176,12 @@ def test_from_dict_rejects_unknown_fields(desk5):
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict({**base, "weights": {"beta": 1.0}})
     assert err.value.field == "weights.beta"
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**base, "outputs": {"traj": "mytraj.csv"}})
+    assert err.value.field == "outputs.traj"
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**base, "outputs": {"events": 3}})
+    assert err.value.field == "outputs.events"
 
 
 def test_dict_round_trip(desk5):
@@ -236,14 +239,19 @@ def test_grid_index_rounding():
 # ------------------------------------------------------------- controller
 
 
-def test_pole_placement_hits_targets(desk2):
-    lin = desk2.linearize()
-    poles = (-1.0, -2.5, -4.0)
-    K = pole_placement_gains(lin, poles)
-    for i in range(lin.n):
-        closed = lin.A[i] - np.outer(lin.Bsub[i], K[i])
-        got = np.sort(np.linalg.eigvals(closed).real)
-        assert np.allclose(got, np.sort(poles), atol=1e-8)
+def test_no_controller_means_no_feedback(desk2, desk4, desk5):
+    # A scenario without gains holds every field voltage at Ef0; from a
+    # small estimate offset the plant then stays at its equilibrium.
+    for plant in (desk2, desk4, desk5):
+        scn = Scenario.from_dict({"plant": plant.to_dict(), "horizon": 5.0,
+                                  "dt": 1e-3,
+                                  "observer": {"initial_offset": 0.01}})
+        assert scn.controller.gains is None
+        assert scn.to_dict()["controller"] == {}
+        log = run_scenario(scn)
+        assert not log.diverged and log.events == [], plant.name
+        assert len(log.t) == 5001
+        assert np.max(np.abs(log.x)) <= 1e-12
 
 
 # ------------------------------------------------------------------- runs
@@ -275,8 +283,12 @@ def test_initial_offset_enters_and_decays(desk2):
 def test_stuck_fault_holds_reading(desk2, stuck_value):
     fault = FaultEvent(t_fault=0.5, subsystem=1, kind="stuck", fdi_delay=0.2,
                        stuck_value=stuck_value)
+    # the shipped study's gains act on the offset estimate, so the plant
+    # and the readings move before the fault
     scn = Scenario(plant=desk2, horizon=1.5, dt=1e-3, faults=(fault,),
                    observer=ObserverConfig(initial_offset=0.2),
+                   controller=ControllerConfig(
+                       gains=np.tile([-0.003, -0.03, 0.0], (2, 1))),
                    settling_window=1.0, reconfigure=False)
     log = run_scenario(scn, seed=0)
     k0 = 500
