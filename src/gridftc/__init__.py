@@ -46,7 +46,6 @@ from .observer import (
 from .reconfig import (
     FaultEvent,
     AugmentedSystem,
-    ObserverSpec,
     ReconfigPlan,
     default_P,
     virtual_sensor,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .observability import kalman_rank
 from .power_model import load_plant
-from .reconfig import FaultEvent, fault_output_map, rftc_select
+from .reconfig import FAULT_KINDS, FaultEvent, fault_output_map, rftc_select
 from .sim_engine import (
     ScenarioError,
     build_report,
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     fault_opts.add_argument("--tol", type=float, default=1e-9,
                             help="numeric rank / screening tolerance")
     fault_opts.add_argument("--fault", default=None,
-                            choices=["gain", "stuck", "total-loss"],
+                            choices=FAULT_KINDS,
                             help="sensor fault kind to analyze")
     fault_opts.add_argument("--subsystem", type=int, default=None,
                             help="1-based faulty subsystem id")

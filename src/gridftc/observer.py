@@ -145,21 +145,21 @@ def interaction_bound_estimate(traj, min_activity: float = 1e-9) -> np.ndarray:
     ``chain_true`` with the same shape.
     """
     inter = getattr(traj, "interactions", None)
-    chain = getattr(traj, "chain_true", None)
-    if inter is None or chain is None or len(inter) == 0:
+    z_true = getattr(traj, "chain_true", None)
+    if inter is None or z_true is None or len(inter) == 0:
         raise ValueError(
             "trajectory carries no interaction diagnostics (interactions and "
             "chain_true); pass the log that run_scenario returns"
         )
     inter = np.asarray(inter, dtype=float)
-    chain = np.asarray(chain, dtype=float)
-    if inter.shape != chain.shape:
+    z_true = np.asarray(z_true, dtype=float)
+    if inter.shape != z_true.shape:
         raise ValueError(
-            f"interaction log shape {inter.shape} != chain state log {chain.shape}"
+            f"interaction log shape {inter.shape} != chain state log {z_true.shape}"
         )
     n_chain = inter.shape[2]
     # rhs[s, k] = sum over subsystems of |z_1..z_k|, cumulative in k
-    rhs = np.cumsum(np.sum(np.abs(chain), axis=1), axis=1)
+    rhs = np.cumsum(np.sum(np.abs(z_true), axis=1), axis=1)
     peak = np.abs(inter).max(axis=1)  # worst subsystem per sample and row
     out = np.zeros(n_chain)
     for k in range(n_chain):

@@ -5,15 +5,16 @@ measurement vector is rebuilt from the surviving rows plus the observer
 estimate (virtual sensor).  When observability is lost outright, the faulty
 subsystem is merged with neighbours until the merged system is observable
 from the neighbours' sensors; candidate sets are screened structurally,
-numerically and for stability, a stack of sets per screen call, then ranked
-by a Gramian-based cost.
+numerically and for stability, a stack of sets per screen call, then for a
+single-output chain form (the merged observer needs one), and ranked by a
+Gramian-based cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .power_model import N_STATES, LinearizedPlant
 __all__ = [
     "FaultEvent",
     "AugmentedSystem",
-    "ObserverSpec",
     "ReconfigPlan",
     "default_P",
     "virtual_sensor",
@@ -99,21 +99,11 @@ class FaultEvent:
             raise ValueError(f"sensor_row must be non-negative, got {self.sensor_row}")
 
     def to_dict(self) -> dict:
-        return {
-            "t_fault": self.t_fault,
-            "subsystem": self.subsystem,
-            "kind": self.kind,
-            "fdi_delay": self.fdi_delay,
-            "sensor_row": self.sensor_row,
-            "factor": self.factor,
-            "stuck_value": self.stuck_value,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultEvent":
-        known = {"t_fault", "subsystem", "kind", "fdi_delay", "sensor_row",
-                 "factor", "stuck_value"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown fault event fields: {sorted(extra)}")
         return cls(**d)
@@ -212,13 +202,14 @@ def _dead_rows(faulty_rows: Optional[Sequence[int]], p: int,
     return rows
 
 
-def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int, dead: list):
+def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int,
+            dead_rows: list):
     """``(A, B, C, C_healthy)`` stacks of merged candidate sets.
 
     Row ``k`` of ``sub`` lists one set's 0-based members; their states,
     inputs and output rows are laid out member by member in that order, as
     rows and columns of the cached full-plant matrices picked by one fancy
-    index each.  ``C`` is ``C_healthy`` with rows ``dead`` of member
+    index each.  ``C`` is ``C_healthy`` with rows ``dead_rows`` of member
     ``fpos`` zeroed.
     """
     K, m = sub.shape
@@ -230,7 +221,7 @@ def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int, dead: list):
         sub[:, :, None, None], np.arange(p)[:, None], idx[:, None, None, :]
     ].reshape(K, m * p, N_STATES * m)
     C = C_healthy.copy()
-    C[:, [p * fpos + r for r in dead]] = 0.0
+    C[:, [p * fpos + r for r in dead_rows]] = 0.0
     return A, B, C, C_healthy
 
 
@@ -254,9 +245,9 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
     if faulty_id not in ids:
         raise ValueError(f"faulty subsystem {faulty_id} missing from ids {ids}")
 
-    dead = _dead_rows(faulty_rows, lin.Csub.shape[1], faulty_id)
-    A, B, C, C_healthy = _gather(lin, np.subtract(ids, 1)[None],
-                                 ids.index(faulty_id), dead)
+    A, B, C, C_healthy = _gather(
+        lin, np.subtract(ids, 1)[None], ids.index(faulty_id),
+        _dead_rows(faulty_rows, lin.Csub.shape[1], faulty_id))
     index_map = {i: slice(N_STATES * a, N_STATES * (a + 1))
                  for a, i in enumerate(ids)}
     return AugmentedSystem(ids=ids, A=A[0], B=B[0], C=C[0],
@@ -296,19 +287,48 @@ def _screen(A: np.ndarray, C: np.ndarray, f: slice, tol: float):
     return structural, observable, stable
 
 
+def _single_output_chain(A, B, C, tol: float):
+    """Chain form of ``(A, B)`` seen through one measured row of ``C`` (each
+    in turn, then their sum) and the output weights that pick that row, or
+    ``None`` when no such row gives one."""
+    rows = np.flatnonzero(C.any(axis=1))
+    trials = [[r] for r in rows]
+    if len(rows) > 1:
+        trials.append(rows)
+    for picked in trials:
+        c = C[picked].sum(axis=0)
+        try:
+            chain = to_chain_form(StateSpace(A=A, B=B, C=c), tol)
+        except ValueError:
+            continue
+        w = np.zeros(C.shape[0])
+        w[picked] = 1.0
+        return chain, w
+    return None
+
+
 def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
-            A, B, C, C_healthy, alpha: float, xi: float) -> CostReport:
+            A, B, C, C_healthy, alpha: float, xi: float, tol: float):
     """The screens' verdicts on one candidate and, when admissible, its
-    price."""
+    price.
+
+    Returns the report and, for a priced set, the ``(chain, weights)`` pair
+    of its merged observer; a set without a single-output chain form is
+    reported unobservable and not priced.
+    """
     if not structural:
         return CostReport(candidate=cand, observable=False, stable=stable,
-                          reason="structurally unobservable")
+                          reason="structurally unobservable"), None
     if not observable:
         return CostReport(candidate=cand, observable=False, stable=stable,
-                          reason="numerically unobservable")
+                          reason="numerically unobservable"), None
     if not stable:
         return CostReport(candidate=cand, observable=True, stable=False,
-                          reason="merged state matrix is not Hurwitz")
+                          reason="merged state matrix is not Hurwitz"), None
+    observer = _single_output_chain(A, B, C, tol)
+    if observer is None:
+        return CostReport(candidate=cand, observable=False, stable=True,
+                          reason="no single-output chain form"), None
     # the stability screen has already found A Hurwitz
     Wo = obs_gramian(A, C, assume_hurwitz=True)
     trace_Wo = float(np.trace(Wo))
@@ -316,7 +336,8 @@ def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
     hf = float(np.sqrt(max(hf_sq, 0.0)))
     J = cost_J(trace_Wo, hf, alpha, xi)
     return CostReport(candidate=cand, observable=True, stable=True,
-                      trace_Wo=trace_Wo, rho=1.0 / trace_Wo, hf_norm=hf, J=J)
+                      trace_Wo=trace_Wo, rho=1.0 / trace_Wo, hf_norm=hf,
+                      J=J), observer
 
 
 def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
@@ -325,72 +346,35 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
 
     The structural filter catches decoupled members, the numeric
     observability test and the stability screen on the merged state matrix
-    follow; this is the stack-of-one case of the screening in
-    :func:`rftc_select`.  The cost combines the observability Gramian trace
-    with the output-functionality gap caused by the dead sensor rows.
+    follow, then the single-output chain form the merged observer needs;
+    this is the stack-of-one case of the screening in :func:`rftc_select`.
+    The cost combines the observability Gramian trace with the
+    output-functionality gap caused by the dead sensor rows.
     """
     verdicts = _screen(aug.A[None], aug.C[None],
                        aug.index_map[aug.faulty_id], tol)
     return _report(aug.ids, *(bool(v[0]) for v in verdicts),
-                   aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi)
-
-
-@dataclass(frozen=True)
-class ObserverSpec:
-    """Everything the runtime needs to estimate a candidate set's states.
-
-    ``output_weights`` combines the candidate's measured output rows into the
-    scalar driving the chain observer; ``chain`` is ``None`` when the merged
-    system is observable only through several outputs jointly, in which case
-    no single-gain chain observer exists for it.
-    """
-
-    ids: tuple
-    index_map: dict
-    chain: Optional[ChainForm]
-    output_weights: Optional[np.ndarray]
-
-
-def _single_output_chain(aug: AugmentedSystem, tol: float):
-    """Chain transform from one measured row (or their sum) if possible."""
-    rows = [r for r in range(aug.C.shape[0]) if np.any(aug.C[r])]
-    trials = [(r, aug.C[r]) for r in rows]
-    if len(rows) > 1:
-        trials.append((None, aug.C[rows].sum(axis=0)))
-    for r, c_row in trials:
-        try:
-            chain = to_chain_form(StateSpace(A=aug.A, B=aug.B, C=c_row), tol)
-        except ValueError:
-            continue
-        w = np.zeros(aug.C.shape[0])
-        if r is None:
-            w[rows] = 1.0
-        else:
-            w[r] = 1.0
-        return chain, w
-    return None, None
-
-
-def _spec_for(aug: AugmentedSystem, tol: float) -> ObserverSpec:
-    chain, w = _single_output_chain(aug, tol)
-    return ObserverSpec(ids=aug.ids, index_map=dict(aug.index_map),
-                        chain=chain, output_weights=w)
+                   aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi, tol)[0]
 
 
 @dataclass
 class ReconfigPlan:
     """Outcome of the reconfiguration search for one fault.
 
-    ``observer_spec`` describes the merged observer of an augmentation plan
-    and is None otherwise: a virtual sensor keeps the faulty subsystem's
-    nominal chain observer, fed the corrected reading.
+    An augmentation plan carries its merged observer: the chain form of the
+    ``augment_set`` members (states laid out in that order, the faulty
+    machine first) and the ``output_weights`` that sum their measured rows
+    into the scalar it is driven by.  Both are None in the other modes: a
+    virtual sensor keeps the faulty subsystem's nominal chain observer, fed
+    the corrected reading.
     """
 
     mode: str
     faulty_id: int
     P: Optional[np.ndarray] = None
     augment_set: Optional[tuple] = None
-    observer_spec: Optional[ObserverSpec] = None
+    chain: Optional[ChainForm] = None
+    output_weights: Optional[np.ndarray] = None
     J: Optional[float] = None
     candidates: list = field(default_factory=list)
 
@@ -416,7 +400,8 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
     every row is dead).  If the pair (own dynamics, post-fault outputs) is
     still observable the plan is a virtual sensor.  Otherwise candidate
     merge sets are enumerated in ascending cardinality (ids sorted, then
-    lexicographic), screened, priced, and the lowest-cost admissible set at
+    lexicographic), screened (a set needs a single-output chain form for
+    its merged observer), priced, and the lowest-cost admissible set at
     the smallest workable cardinality wins; ties go to the lexicographically
     smallest id tuple.  ``excluded_ids`` removes subsystems that cannot help
     (for example ones currently faulty themselves).
@@ -469,21 +454,21 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
             verdicts = _screen(A, C, slice(0, N_STATES), tol)
             verdicts = zip(*(v.tolist() for v in verdicts))
             for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
-                rep = _report(ids, *verdict, A[k], B[k], C[k], C_healthy[k],
-                              alpha, xi)
+                rep, observer = _report(ids, *verdict, A[k], B[k], C[k],
+                                        C_healthy[k], alpha, xi, tol)
                 reports.append(rep)
                 if rep.J is not None and rep.J <= j_max:
-                    admissible.append(rep)
+                    admissible.append((rep, observer))
         if admissible:
-            best = min(admissible, key=lambda rep: (rep.J, rep.candidate))
-            best_aug = augment(best.candidate, lin, faulty_id,
-                               faulty_rows=faulty_rows)
+            best, (chain, weights) = min(
+                admissible, key=lambda a: (a[0].J, a[0].candidate))
             return ReconfigPlan(
                 mode=MODE_AUGMENTATION,
                 faulty_id=faulty_id,
                 P=default_P(Csub, rows),
                 augment_set=best.candidate,
-                observer_spec=_spec_for(best_aug, tol),
+                chain=chain,
+                output_weights=weights,
                 J=best.J,
                 candidates=reports,
             )

@@ -71,8 +71,8 @@ Divergence verdict
 Segments also end every ``DIVERGENCE_CHECK_STEPS`` rows.  After each one,
 the rows just logged are checked: every state and estimate finite and every
 angle deviation at most pi in magnitude.  The first row that fails gets a
-``diverged`` marker, the run ends with the rows logged so far and the log
-and report carry ``diverged``; ``gridftc run`` then exits with code 3.
+``diverged`` marker, the run ends with the log cut after that row and the
+log and report carry ``diverged``; ``gridftc run`` then exits with code 3.
 """
 
 from __future__ import annotations
@@ -244,6 +244,41 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir=None) -> "Scenario":
+        """Build and validate a scenario from its JSON object.
+
+        Fields (an unknown field or sub-key raises :class:`ScenarioError`
+        naming it):
+
+        * ``plant`` (required) -- a plant JSON file, relative to
+          ``base_dir`` unless absolute, or the inline object that
+          ``PlantModel.from_dict`` reads: ``generators``, ``network``
+          (``G``, ``B``), ``operating_point`` (``delta0``, ``Eq_prime0``,
+          ``Ef0``) and an optional ``name``.
+        * ``horizon``, ``dt`` (required) -- run length and grid step, s.
+        * ``faults`` -- time-ordered fault events, default none; each has
+          ``t_fault``, ``subsystem`` (1-based), ``kind`` (``gain``,
+          ``stuck`` or ``total-loss``) and ``fdi_delay``, plus
+          ``sensor_row`` (default 0), ``factor`` (gain faults only,
+          required there) and ``stuck_value`` (default: hold the last
+          reading).
+        * ``observer`` -- ``l_mode`` (``"self"`` or ``"constant"``, default
+          ``"self"``), ``l_value`` (required and positive in constant mode),
+          ``L_max`` (default ``DEFAULT_L_MAX``) and ``initial_offset``
+          (default 0).
+        * ``controller`` -- ``gains``, one row of three per subsystem;
+          without it there is no feedback.
+        * ``weights`` -- the search's cost weights ``alpha`` (default 100)
+          and ``xi`` (default 50).
+        * ``j_max`` -- the cost cap, default null (no cap).
+        * ``noise_amplitude`` -- half-width of the uniform noise on every
+          angle reading, default 0.
+        * ``settling_window`` -- s, default ``DEFAULT_SETTLING_WINDOW``.
+        * ``reconfigure`` -- run the diagnoses and their plans, default
+          true.
+        * ``name`` -- default ``"scenario"``.
+        * ``outputs`` -- file names by key (``trajectory``, ``events``,
+          ``report``), each defaulting to ``DEFAULT_OUTPUTS``.
+        """
         known = {"name", "plant", "horizon", "dt", "faults", "observer",
                  "controller", "weights", "j_max", "noise_amplitude",
                  "settling_window", "reconfigure", "outputs"}
@@ -277,27 +312,17 @@ class Scenario:
         except (ValueError, TypeError) as exc:
             raise ScenarioError("faults", str(exc)) from exc
 
-        obs_d = dict(d.get("observer", {}))
-        for key in obs_d:
-            if key not in ("l_mode", "l_value", "L_max", "initial_offset"):
-                raise ScenarioError(f"observer.{key}", "unknown observer field")
-        observer = ObserverConfig(**obs_d)
-
-        ctl_d = dict(d.get("controller", {}))
-        for key in ctl_d:
-            if key != "gains":
-                raise ScenarioError(f"controller.{key}", "unknown controller field")
-        controller = ControllerConfig(**ctl_d)
-
-        weights = dict(d.get("weights", {}))
-        for key in weights:
-            if key not in ("alpha", "xi"):
-                raise ScenarioError(f"weights.{key}", "unknown weight field")
-
-        outputs = dict(d.get("outputs", {}))
-        for key, name in outputs.items():
-            if key not in DEFAULT_OUTPUTS:
-                raise ScenarioError(f"outputs.{key}", "unknown output")
+        sub = {}
+        for key, allowed in (
+                ("observer", ("l_mode", "l_value", "L_max", "initial_offset")),
+                ("controller", ("gains",)), ("weights", ("alpha", "xi")),
+                ("outputs", DEFAULT_OUTPUTS)):
+            sub[key] = dict(d.get(key, {}))
+            for name in sub[key]:
+                if name not in allowed:
+                    raise ScenarioError(f"{key}.{name}",
+                                        f"unknown {key} field")
+        for key, name in sub["outputs"].items():
             if not isinstance(name, str) or not name:
                 raise ScenarioError(f"outputs.{key}", "must be a file name")
 
@@ -306,10 +331,10 @@ class Scenario:
             horizon=float(d["horizon"]),
             dt=float(d["dt"]),
             faults=faults,
-            observer=observer,
-            controller=controller,
-            alpha=float(weights.get("alpha", 100.0)),
-            xi=float(weights.get("xi", 50.0)),
+            observer=ObserverConfig(**sub["observer"]),
+            controller=ControllerConfig(**sub["controller"]),
+            alpha=float(sub["weights"].get("alpha", 100.0)),
+            xi=float(sub["weights"].get("xi", 50.0)),
             j_max=None if d.get("j_max") is None else float(d["j_max"]),
             noise_amplitude=float(d.get("noise_amplitude", 0.0)),
             settling_window=float(d.get("settling_window",
@@ -317,7 +342,7 @@ class Scenario:
             reconfigure=bool(d.get("reconfigure", True)),
             name=str(d.get("name", "scenario")),
             plant_ref=plant_ref,
-            outputs={**DEFAULT_OUTPUTS, **outputs},
+            outputs={**DEFAULT_OUTPUTS, **sub["outputs"]},
         )
         scn.validate()
         return scn
@@ -382,7 +407,7 @@ class TrajectoryLog:
     reading and ``y_used`` the signal the active observer consumed.
     ``interactions`` and ``chain_true`` are strided samples supporting the
     interaction-bound diagnostic.  ``diverged`` is set when the divergence
-    check ended the run early (the rows logged up to then are kept).
+    check ended the run early (the log then ends at the row that tripped it).
     """
 
     scenario_name: str
@@ -465,28 +490,24 @@ def _grid_index(t: float, dt: float) -> int:
 
 
 class _MergedObserver:
-    """Runtime state of the augmented-set chain observer.
+    """Runtime state of the augmented-set chain observer of ``plan``,
+    started from the members' rows of the (n, 3) estimates ``xhat``.
 
-    ``dead`` holds the 1-based ids whose sensors are switched off when the
-    observer starts; their readings get weight zero in the measurement.
-    The gain adaptation restarts at L = 1.
+    Its members are the plan's ``augment_set``, the faulty machine first, so
+    that machine's estimate is the first three chain-decoded states.  The
+    faulty member's dead sensor rows carry no output weight.  The gain
+    adaptation restarts at L = 1.
     """
 
-    def __init__(self, spec, faulty_id: int, xhat_members: np.ndarray,
-                 dead: set):
-        self.spec = spec
-        self.ids = spec.ids
-        self.idx = np.array(spec.ids) - 1
-        self.faulty_id = faulty_id
-        self.chain = spec.chain
+    def __init__(self, plan: ReconfigPlan, xhat: np.ndarray):
+        self.idx = np.array(plan.augment_set) - 1
+        self.chain = plan.chain
+        self.weights = plan.output_weights
         n = self.chain.n
         self.coeffs = shaping_coefficients(n)
         self.powers = np.arange(1, n + 1, dtype=float)
-        self.z = self.chain.T @ xhat_members
+        self.z = self.chain.T @ xhat[self.idx].ravel()
         self.L = 1.0
-        self.faulty_slice = spec.index_map[faulty_id]
-        self.weights = np.where([sid in dead for sid in spec.ids], 0.0,
-                                spec.output_weights)
 
     def step(self, y_used: np.ndarray, u_dev: np.ndarray, dt: float,
              L_max: float, l_value: Optional[float]) -> None:
@@ -567,7 +588,6 @@ class _Engine:
         self.active: list = []
         self.vs_gain: dict = {}
         self.frozen = np.zeros(n, dtype=bool)
-        self.dead: set = set()      # 1-based ids switched off by augmentation
         self.merged: Optional[_MergedObserver] = None
 
         rows = self.n_steps + 1
@@ -606,7 +626,7 @@ class _Engine:
             vs_f = np.array([self.vs_gain[i] for i in vs_idx])
             vs_fy = vs_f * y_ref[vs_idx]
         if merged is not None:
-            fid, fsl = merged.faulty_id - 1, merged.faulty_slice
+            fid = merged.idx[0]
         log_x, log_xhat, log_L = self.log_x, self.log_xhat, self.log_L
         log_ymeas, log_yused = self.log_ymeas, self.log_yused
 
@@ -625,7 +645,7 @@ class _Engine:
             xhat = (Tn_inv @ Z.T[..., None])[..., 0]
             log_L[k] = Lg
             if merged is not None:
-                xhat[fid] = merged.estimates()[fsl]
+                xhat[fid] = merged.estimates()[:N_STATES]
                 log_L[k, fid] = merged.L
             log_x[k] = x.T
             log_xhat[k] = xhat
@@ -683,14 +703,15 @@ class _Engine:
 
         A row diverges when a state or logged estimate is not finite or an
         angle deviation exceeds pi in magnitude.  The first such row gets a
-        ``diverged`` marker, the run's flag is set and True is returned.
+        ``diverged`` marker, the run's flag is set and its step is returned;
+        None means every row passed.
         """
         x = self.log_x[k0:k_end]
         finite = (np.isfinite(x).all(axis=2)
                   & np.isfinite(self.log_xhat[k0:k_end]).all(axis=2))
         ok = finite & (np.abs(x[..., 0]) <= math.pi)
         if ok.all():
-            return False
+            return None
         r, i = np.argwhere(~ok)[0]
         k = k0 + int(r)
         reason = (f"angle deviation {x[r, i, 0]:.6g} rad exceeds pi"
@@ -699,7 +720,7 @@ class _Engine:
             t=k * self.dt, step=k, kind="diverged", subsystem=int(i) + 1,
             label=f"diverged:sub{int(i) + 1}", detail={"reason": reason}))
         self.diverged = True
-        return True
+        return k
 
     def activate(self, f: FaultEvent, k: int) -> None:
         """Fault ``f`` starts at step ``k``; a stuck sensor without its own
@@ -731,19 +752,12 @@ class _Engine:
             label=f"fdi:sub{sid}:{plan.mode}", detail=detail))
         if plan.mode == MODE_VIRTUAL_SENSOR:
             self.vs_gain[sid - 1] = f.factor
-        elif (plan.mode == MODE_AUGMENTATION
-              and plan.observer_spec is not None
-              and plan.observer_spec.chain is not None):
-            spec = plan.observer_spec
+        elif plan.mode == MODE_AUGMENTATION:
             xh_now = (self.Tn_inv @ self.Z.T[..., None])[..., 0]
-            merged = self.merged
-            if merged is not None:
-                xm = merged.estimates()
-                for mid in merged.ids:
-                    xh_now[mid - 1] = xm[merged.spec.index_map[mid]]
-            xcat = np.concatenate([xh_now[mid - 1] for mid in spec.ids])
-            self.dead.add(sid)
-            self.merged = _MergedObserver(spec, sid, xcat, self.dead)
+            if self.merged is not None:
+                xh_now[self.merged.idx] = self.merged.estimates().reshape(
+                    -1, N_STATES)
+            self.merged = _MergedObserver(plan, xh_now)
             self.frozen[sid - 1] = True
             self.vs_gain.pop(sid - 1, None)
         else:
@@ -770,8 +784,8 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
 
     The run is cut into segments at its event steps and, within those,
     every ``DIVERGENCE_CHECK_STEPS`` steps.  After each segment the
-    divergence check runs on the rows just logged; a trip ends the run
-    there with the ``diverged`` flag set.
+    divergence check runs on the rows just logged; a trip ends the run with
+    the ``diverged`` flag set and the log cut after the row that tripped.
     """
     scn.validate()
     eng = _Engine(scn, seed)
@@ -781,11 +795,13 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
         while k < step:
             k_end = min(step, (k // DIVERGENCE_CHECK_STEPS + 1)
                         * DIVERGENCE_CHECK_STEPS)
-            eng.advance(k, k_end)
+            # a state that overflows is the divergence check's to report
+            with np.errstate(over="ignore", invalid="ignore"):
+                eng.advance(k, k_end)
             tripped = eng.check(k, k_end)
+            if tripped is not None:
+                return eng.finish(tripped + 1)
             k = k_end
-            if tripped:
-                return eng.finish(k)
         if phase == 0:
             eng.activate(scn.faults[i], step)
         elif phase == 1:
@@ -889,30 +905,25 @@ def write_trajectory_csv(log: TrajectoryLog, path) -> None:
         header += [f"sub{i}_y", f"sub{i}_L"]
     header.append("event")
 
-    width = 1 + 8 * n
-    big = np.empty((rows, width))
-    big[:, 0] = log.t
-    for i in range(n):
-        base = 1 + 8 * i
-        big[:, base:base + 3] = log.x[:, i, :]
-        big[:, base + 3:base + 6] = log.xhat[:, i, :]
-        big[:, base + 6] = log.y_used[:, i]
-        big[:, base + 7] = log.L[:, i]
-
-    ev_by_step: dict = {}
+    events: dict = {}
     for m in log.events:
-        ev_by_step.setdefault(m.step, []).append(m.label)
-
-    fmt = ",".join(["%.12g"] * width)
+        events.setdefault(m.step, []).append(m.label)
+    line = ",".join(["%.12g"] * (1 + 8 * n)) + ",%s\n"
+    block = 1024    # rows formatted from one scratch array
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(rows):
-            line = fmt % tuple(big[r])
-            fh.write(line)
-            fh.write(",")
-            if r in ev_by_step:
-                fh.write(";".join(ev_by_step[r]))
-            fh.write("\n")
+        for r0 in range(0, rows, block):
+            r1 = min(rows, r0 + block)
+            vals = np.empty((r1 - r0, 1 + 8 * n))
+            vals[:, 0] = log.t[r0:r1]
+            per_sub = vals[:, 1:].reshape(-1, n, 8)
+            per_sub[:, :, 0:3] = log.x[r0:r1]
+            per_sub[:, :, 3:6] = log.xhat[r0:r1]
+            per_sub[:, :, 6] = log.y_used[r0:r1]
+            per_sub[:, :, 7] = log.L[r0:r1]
+            fh.write("".join(
+                line % (*row, ";".join(events.get(r, ())))
+                for r, row in enumerate(vals.tolist(), r0)))
 
 
 def write_events_json(log: TrajectoryLog, path) -> None:

@@ -343,10 +343,15 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
     ``svd_observable``) and a 2-D ``obs.is_hurwitz``; survivors are priced
     with ``obs.obs_gramian``, ``obs.hf_norm_sq`` and ``obs.cost_J``
     (``obs`` is ``gridftc.observability``), whose arithmetic the screens do
-    not touch.  The cheapest set at or under ``j_max`` at the first
-    cardinality holding one wins, ties to the smaller id tuple.  Returns
-    what ``ReconfigPlan.to_dict()`` returns for the same search.
+    not touch.  A stable, observable set must also take a chain form from
+    one measured output row, tried one row at a time and then their sum,
+    or it is rejected before pricing.  The cheapest set at or under
+    ``j_max`` at the first cardinality holding one wins, ties to the
+    smaller id tuple.  Returns what ``ReconfigPlan.to_dict()`` returns for
+    the same search.
     """
+    from gridftc.observer import to_chain_form
+
     p = lin.Csub.shape[1]
     rows = list(range(p)) if faulty_rows is None else list(faulty_rows)
     helpers = [i for i in range(1, lin.n + 1)
@@ -354,6 +359,18 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
 
     def kalman(A, C, tol):
         return None, svd_observable(A, C, tol)
+
+    def has_chain_form(aug):
+        measured = [row for row in aug.C if np.any(row)]
+        if len(measured) > 1:
+            measured.append(np.sum(measured, axis=0))
+        for row in measured:
+            try:
+                to_chain_form(obs.StateSpace(A=aug.A, B=aug.B, C=row), tol)
+            except ValueError:
+                continue
+            return True
+        return False
 
     def report(aug):
         out = {"candidate": list(aug.ids), "observable": False,
@@ -367,6 +384,8 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
         if not out["stable"]:
             return dict(out, observable=True,
                         reason="merged state matrix is not Hurwitz")
+        if not has_chain_form(aug):
+            return dict(out, reason="no single-output chain form")
         trace_Wo = float(np.trace(obs.obs_gramian(aug.A, aug.C)))
         hf = float(np.sqrt(max(obs.hf_norm_sq(aug.A, aug.B, aug.C_healthy,
                                               aug.C), 0.0)))
@@ -535,11 +554,14 @@ def run_scenario_loops(scn, seed=0):
                     detail={"mode": plan.mode, "J": plan.J,
                             "augment_set": list(plan.augment_set)
                             if plan.augment_set else None}))
-                spec = plan.observer_spec
                 if plan.mode == "virtual-sensor":
                     vs_gain[sid - 1] = ev.factor
-                elif (plan.mode == "augmentation" and spec is not None
-                      and spec.chain is not None):
+                elif plan.mode == "augmentation":
+                    spec = types.SimpleNamespace(
+                        ids=plan.augment_set, chain=plan.chain,
+                        output_weights=plan.output_weights,
+                        index_map={mid: slice(3 * a, 3 * a + 3)
+                                   for a, mid in enumerate(plan.augment_set)})
                     xh_now = (Tn_inv @ Z[..., None])[..., 0]
                     if merged is not None:
                         xm = merged_estimates()

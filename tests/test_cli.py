@@ -123,14 +123,15 @@ def test_run_divergence_exit_code(tmp_path, desk2, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 3
     captured = capsys.readouterr()
     assert "diverged" in captured.err
-    assert captured.out.startswith("scenario slip: 2999 steps in ")
+    assert captured.out.startswith("scenario slip: 2864 steps in ")
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["diverged"] is True and report["unrecoverable"] is False
     events = json.loads((tmp_path / "events.json").read_text())["events"]
     assert [e["kind"] for e in events] == ["diverged"]
+    # the trajectory ends at the row that tripped the check
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 3001
-    assert lines[1 + events[0]["step"]].endswith(events[0]["label"])
+    assert len(lines) == 2 + events[0]["step"] == 2866
+    assert lines[-1].endswith("," + events[0]["label"])
 
 
 def test_subcommands_reject_flags_they_ignore(short_run, desk5_plant_path,

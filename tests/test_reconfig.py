@@ -179,8 +179,8 @@ def test_select_admissibility_invariants(desk5_lin):
     assert is_hurwitz(aug.A)
     _, ok = kalman_rank(aug.A, aug.C, 1e-9)
     assert ok
-    assert plan.observer_spec is not None
-    assert plan.observer_spec.chain is not None
+    assert plan.chain is not None and plan.chain.n == aug.dim
+    assert plan.output_weights.tolist() == [0.0, 1.0]
 
 
 def test_select_honors_exclusions(desk5_lin):
@@ -234,6 +234,20 @@ def test_select_rejects_island_rotation_mode():
                        j_max=np.inf)
     reasons = {c.candidate: c.reason for c in plan.candidates}
     assert reasons[(2, 1)] == "merged state matrix is not Hurwitz"
+
+
+def test_select_skips_a_set_without_a_chain_form():
+    # (5, 3) is observable, stable and the cheapest pair, but none of its
+    # measured rows, alone or summed, gives a single-output chain form, so
+    # the merged observer could not run on it.
+    plan = rftc_select(5, coupled_plant(5, 27, 0.5), 100.0, 50.0,
+                       j_max=np.inf)
+    assert plan.mode == "augmentation" and plan.augment_set == (5, 4)
+    assert plan.J == pytest.approx(8.5345, abs=1e-4)
+    assert plan.chain is not None
+    rep = {c.candidate: c for c in plan.candidates}[(5, 3)]
+    assert rep.reason == "no single-output chain form"
+    assert not rep.observable and rep.stable and rep.J is None
 
 
 def test_select_rejects_unknown_subsystem(desk5_lin):

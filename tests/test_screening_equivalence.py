@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as orc
 import gridftc.observability
+from gridftc.desk_models import desk4_plant, desk5_plant
 from gridftc.observability import (
     ZeroPattern,
     is_hurwitz,
@@ -29,6 +30,7 @@ from gridftc.power_model import (
     linearize,
 )
 from gridftc.reconfig import augment, rftc_select
+from gridftc.sim_engine import _MergedObserver
 
 # Derandomized, so every tier-1 run draws the same examples.
 SEARCH = settings(derandomize=True, deadline=None, database=None,
@@ -73,6 +75,9 @@ def directed_plant(n, seed, density, p=1):
     return LinearizedPlant(A=A, Gint=Gint, Bsub=rng.normal(size=(n, 3)),
                            Csub=Csub)
 
+
+DESK4 = desk4_plant().linearize()
+DESK5 = desk5_plant().linearize()
 
 plants = st.one_of(
     st.builds(coupled_plant, st.integers(3, 8), st.integers(0, 2**32 - 1),
@@ -147,6 +152,28 @@ def test_select_plans_match_oracle_search(data, lin, j_max):
     assert got == ref
     if j_max == 0.0:
         assert len(got["candidates"]) == 2 ** (lin.n - 1 - len(excluded)) - 1
+
+
+@SEARCH
+@given(data=st.data(),
+       lin=plants | st.sampled_from([DESK4, DESK5]),
+       j_max=st.sampled_from([0.0, 20.0, np.inf]))
+def test_every_augmentation_plan_runs(data, lin, j_max):
+    faulty = data.draw(st.integers(1, lin.n))
+    plan = rftc_select(faulty, lin, 100.0, 50.0, j_max=j_max)
+    if plan.mode != "augmentation":
+        assert plan.chain is None and plan.output_weights is None
+        return
+    ids = plan.augment_set
+    assert ids[0] == faulty and plan.chain.n == 3 * len(ids)
+    p = lin.Csub.shape[1]
+    assert plan.output_weights.shape == (p * len(ids),)
+    assert not plan.output_weights[:p].any()
+    xhat = np.random.default_rng(faulty).normal(size=(lin.n, 3))
+    merged = _MergedObserver(plan, xhat)
+    assert merged.L == 1.0
+    assert np.allclose(merged.estimates(), xhat[np.subtract(ids, 1)].ravel(),
+                       rtol=1e-6, atol=1e-6)
 
 
 def _stack(rng, K, n, real_share):

@@ -1,6 +1,7 @@
 """Scenario plumbing, the shared-grid runner, recovery verdicts, writers."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from gridftc.power_model import (
 from gridftc.desk_models import data_path
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
-    DIVERGENCE_CHECK_STEPS,
     ControllerConfig,
     ObserverConfig,
     Scenario,
@@ -428,9 +428,9 @@ def test_divergence_verdict_ends_the_run(desk2, gains, first_bad):
     scn = diverging_scenario(desk2, gains)
     log = run_scenario(scn, seed=0)
     assert log.diverged and not log.unrecoverable
-    # the run ends at the check after the first bad row, with every row
-    # logged so far
-    rows = (first_bad // DIVERGENCE_CHECK_STEPS + 1) * DIVERGENCE_CHECK_STEPS
+    # the check runs after a segment of rows; the log ends at the first bad
+    # row, not at the end of its segment
+    rows = first_bad + 1
     assert log.t.shape == (rows,) and log.x.shape == (rows, 2, 3)
     marker = log.events[-1]
     assert (marker.kind, marker.step) == ("diverged", first_bad)
@@ -443,6 +443,25 @@ def test_divergence_verdict_ends_the_run(desk2, gains, first_bad):
     # the run ended before the fault it scheduled: its verdict says why
     assert [m.kind for m in log.events] == ["diverged"]
     assert [r["verdict"] for r in report["recovery"]] == ["diverged"]
+
+
+def test_diverged_log_ends_at_the_tripping_row(desk5):
+    # Past the tripping row (256) the state turns non-finite before the
+    # segment's check at row 1,000; overflow is the verdict's to report, so
+    # the run raises no numpy warning, and no row past row 256 is kept.
+    scn = Scenario(plant=desk5, horizon=3.0, dt=1e-3,
+                   observer=ObserverConfig(initial_offset=0.5),
+                   controller=ControllerConfig(
+                       gains=np.tile([50.0, 50.0, 50.0], (desk5.n, 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_scenario(scn, seed=0)
+        report = build_report(scn, log)
+    marker = log.events[-1]
+    assert marker.kind == "diverged" and marker.step == 256
+    assert len(log.t) == marker.step + 1
+    assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.xhat))
+    assert report.diverged and np.all(np.isfinite(report.interaction_bounds))
 
 
 def test_noise_is_seeded(desk2, tmp_path):
