@@ -20,8 +20,9 @@ Put ``w_j = exp(1j delta_j)`` and ``Y = G + 1j B``.  Since
 
 so ``Iq = Re S`` and ``Id = -Im S``: n complex exponentials and one complex
 matrix-vector product instead of n^2 sines, n^2 cosines and two real
-products.  :func:`currents` and the simulation right-hand side share this
-one kernel.
+products.  :func:`currents`, the simulation right-hand side and
+:func:`linearize` share this one kernel: the Jacobian is the kernel's
+derivative, ``N = conj(w)[:, None] Y w[None, :]`` with ``S = N @ E'_q``.
 """
 
 from __future__ import annotations
@@ -242,19 +243,6 @@ def _as_state(x, n: int) -> np.ndarray:
     return arr
 
 
-def _param_arrays(params: Sequence[GeneratorParams]):
-    """Stack per-generator constants into arrays for vectorized evaluation."""
-    return {
-        "D": np.array([p.D for p in params]),
-        "H": np.array([p.H for p in params]),
-        "omega0": np.array([p.omega0 for p in params]),
-        "Pm": np.array([p.Pm for p in params]),
-        "Tdo": np.array([p.Tdo_prime for p in params]),
-        "xd": np.array([p.xd for p in params]),
-        "xdp": np.array([p.xd_prime for p in params]),
-    }
-
-
 def _network_power(delta0, ddelta, E, Y):
     """``S = conj(w) (Y @ (E w))`` with ``w = exp(1j (delta0 + ddelta))``
     and ``Y = G + 1j B``: by the module docstring ``Iq = Re S`` and
@@ -310,11 +298,15 @@ def _rhs_constants(params: Sequence[GeneratorParams], op: OperatingPoint,
     cached = op.__dict__.get("_rhs_cache")
     if cached is not None and cached[0] is net and cached[1] == params:
         return cached[2]
-    pa = _param_arrays(params)
-    gain = pa["omega0"] / (2.0 * pa["H"])
+
+    def stack(name):
+        return np.array([getattr(p, name) for p in params])
+
+    two_H = 2.0 * stack("H")
+    gain = stack("omega0") / two_H
     k = _RhsConstants(
-        damp=pa["D"] / (2.0 * pa["H"]), gain=gain, drive=gain * pa["Pm"],
-        dxd=pa["xd"] - pa["xdp"], inv_Tdo=1.0 / pa["Tdo"],
+        damp=stack("D") / two_H, gain=gain, drive=gain * stack("Pm"),
+        dxd=stack("xd") - stack("xd_prime"), inv_Tdo=1.0 / stack("Tdo_prime"),
         Y=net.G + 1j * net.B, delta0=op.delta0, E0=op.Eq_prime0)
     object.__setattr__(op, "_rhs_cache", (net, params, k))
     return k
@@ -385,27 +377,21 @@ def verify_equilibrium(op: OperatingPoint, params: Sequence[GeneratorParams],
     return float(np.max(np.abs(dx)))
 
 
-def _trig_kernels(op: OperatingPoint, net: NetworkModel):
-    dij = op.delta0[:, None] - op.delta0[None, :]
-    sin_d = np.sin(dij)
-    cos_d = np.cos(dij)
-    # d(Iq)/dE and d(Id)/d(delta) share one kernel; d(Id)/dE and d(Iq)/d(delta)
-    # pair with the other two.
-    Pq = net.B * sin_d + net.G * cos_d
-    Md = net.G * sin_d - net.B * cos_d
-    Mq = net.B * cos_d - net.G * sin_d
-    return Pq, Md, Mq
-
-
 def linearize(op: OperatingPoint, params: Sequence[GeneratorParams],
               net: NetworkModel, eq_tol: float = 1e-6) -> LinearizedPlant:
-    """Analytic Jacobian of the nonlinear dynamics at an operating point.
+    """Analytic Jacobian of :func:`_rhs_core` at zero deviation.
 
     The operating point must be an equilibrium (residual at most ``eq_tol``);
     otherwise an :class:`EquilibriumError` is raised.  Returns per-subsystem
     own-dynamics blocks, interaction blocks, input columns and output rows.
+
+    With ``w = exp(1j delta0)`` the kernel's ``S_i = sum_j N_ij E'_qj`` for
+    ``N = conj(w)[:, None] Y w[None, :]``, so ``dS/dE'_q = N`` and
+    ``dS_i/d(delta_j) = 1j N_ij E'_qj`` for ``j != i``.  A uniform angle
+    shift leaves ``S`` unchanged, so the own-angle entry is minus the row
+    sum over foreign machines, and every Jacobian block is one slice of an
+    (n, 3, n, 3) array.
     """
-    n = net.n
     residual = verify_equilibrium(op, params, net)
     if residual > eq_tol:
         raise EquilibriumError(
@@ -413,43 +399,33 @@ def linearize(op: OperatingPoint, params: Sequence[GeneratorParams],
             f"exceeds tolerance {eq_tol:.3e}",
             residual,
         )
-    pa = _param_arrays(params)
-    E = op.Eq_prime0
-    _, Iq = currents(np.zeros((n, N_STATES)), op, net)
-    Pq, Md, Mq = _trig_kernels(op, net)
+    k = _rhs_constants(params, op, net)
+    n, E = net.n, k.E0
+    w = np.exp(1j * k.delta0)
+    N = np.conjugate(w)[:, None] * k.Y * w[None, :]
+    S = N @ E
+    dS_dd = 1j * N * E[None, :]
+    on = np.arange(n)
+    dS_dd[on, on] = 0.0
+    dS_dd[on, on] = -dS_dd.sum(axis=1)
 
-    c = pa["omega0"] / (2.0 * pa["H"])
-    d = (pa["xd"] - pa["xdp"]) / pa["Tdo"]
+    # dx[1] = drive - damp x[1] - gain E Re S,
+    # dx[2] = (u - E + dxd Im S) inv_Tdo
+    J = np.zeros((n, N_STATES, n, N_STATES))
+    J[on, 0, on, 1] = 1.0
+    J[on, 1, on, 1] = -k.damp
+    J[:, 1, :, 0] = -(k.gain * E)[:, None] * dS_dd.real
+    J[:, 1, :, 2] = -(k.gain * E)[:, None] * N.real
+    J[on, 1, on, 2] -= k.gain * S.real
+    J[:, 2, :, 0] = (k.dxd * k.inv_Tdo)[:, None] * dS_dd.imag
+    J[:, 2, :, 2] = (k.dxd * k.inv_Tdo)[:, None] * N.imag
+    J[on, 2, on, 2] -= k.inv_Tdo
 
-    off = ~np.eye(n, dtype=bool)
-    # Own-block sensitivities sum over foreign machines only: the i == j term
-    # of each current sum is constant in delta_i.
-    dIq_ddi = np.sum(np.where(off, Mq * E[None, :], 0.0), axis=1)
-    dId_ddi = np.sum(np.where(off, Pq * E[None, :], 0.0), axis=1)
-    dPe_ddi = E * dIq_ddi
-    dPe_dEi = Iq + E * np.diag(net.G)
-    dId_dEi = np.diag(Md)
-
-    A = np.zeros((n, N_STATES, N_STATES))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = -c * dPe_ddi
-    A[:, 1, 1] = -pa["D"] / (2.0 * pa["H"])
-    A[:, 1, 2] = -c * dPe_dEi
-    A[:, 2, 0] = -d * dId_ddi
-    A[:, 2, 2] = -(1.0 + (pa["xd"] - pa["xdp"]) * dId_dEi) / pa["Tdo"]
-
-    Gint = np.zeros((n, n, N_STATES, N_STATES))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            Gint[i, j, 1, 0] = c[i] * E[i] * Mq[i, j] * E[j]
-            Gint[i, j, 1, 2] = -c[i] * E[i] * Pq[i, j]
-            Gint[i, j, 2, 0] = d[i] * Pq[i, j] * E[j]
-            Gint[i, j, 2, 2] = -d[i] * Md[i, j]
-
+    A = J[on, :, on, :]
+    Gint = J.transpose(0, 2, 1, 3).copy()
+    Gint[on, on] = 0.0
     Bsub = np.zeros((n, N_STATES))
-    Bsub[:, 2] = 1.0 / pa["Tdo"]
+    Bsub[:, 2] = k.inv_Tdo
     Csub = np.zeros((n, 1, N_STATES))
     Csub[:, 0, 0] = 1.0
     return LinearizedPlant(A=A, Gint=Gint, Bsub=Bsub, Csub=Csub)

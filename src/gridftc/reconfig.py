@@ -23,7 +23,6 @@ from .observability import (
     CostReport,
     StateSpace,
     ZeroPattern,
-    cascade_observable,
     cost_J,
     hf_norm_sq,
     is_hurwitz,
@@ -255,35 +254,20 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
                            faulty_id=faulty_id)
 
 
-def _screen(A: np.ndarray, C: np.ndarray, f: slice, tol: float):
+def _screen(A: np.ndarray, C: np.ndarray, tol: float):
     """Structural, numeric and stability verdicts for a stack of candidates.
 
-    ``A`` is (K, d, d) and ``C`` (K, q, d); every candidate's faulty member
-    holds the states ``f``.  The structural and stability screens run once
-    on the whole stack.  The numeric test, for structurally observable
-    candidates only, is the cascade test where the coupling is
-    one-directional (the faulty rows carry no entry in the helpers' columns,
-    which lie on both sides of its own block), one stacked Kalman test for
-    the rest.  Returns three boolean arrays of length K.
+    ``A`` is (K, d, d) and ``C`` (K, q, d).  The structural and stability
+    screens run once on the whole stack; the numeric test, one stacked
+    Kalman test, runs on the structurally observable candidates only.
+    Returns three boolean arrays of length K.
     """
     structural = structurally_observable(ZeroPattern(A=A != 0, C=C != 0))
     stable = is_hurwitz(A)
-    f_rows = A[:, f]
-    cascade = (structural & (A.shape[-1] > f.stop - f.start)
-               & ~f_rows[:, :, :f.start].any(axis=(1, 2))
-               & ~f_rows[:, :, f.stop:].any(axis=(1, 2)))
-    kalman = structural & ~cascade
     observable = np.zeros(len(A), dtype=bool)
-    if kalman.any():
-        observable[kalman] = kalman_rank(A[kalman], C[kalman], tol)[1]
-    # Cascade: the helpers are measured and the faulty member drives them.
-    h_idx = np.r_[0:f.start, f.stop:A.shape[-1]]
-    f_idx = np.arange(f.start, f.stop)
-    for k in np.flatnonzero(cascade):
-        C1 = C[k][np.ix_(C[k].any(axis=1), h_idx)]
-        observable[k] = C1.size > 0 and cascade_observable(
-            A[k][np.ix_(h_idx, h_idx)], A[k][np.ix_(h_idx, f_idx)],
-            A[k][np.ix_(f_idx, f_idx)], C1, tol)[0]
+    if structural.any():
+        observable[structural] = kalman_rank(A[structural], C[structural],
+                                             tol)[1]
     return structural, observable, stable
 
 
@@ -351,8 +335,7 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
     The cost combines the observability Gramian trace with the
     output-functionality gap caused by the dead sensor rows.
     """
-    verdicts = _screen(aug.A[None], aug.C[None],
-                       aug.index_map[aug.faulty_id], tol)
+    verdicts = _screen(aug.A[None], aug.C[None], tol)
     return _report(aug.ids, *(bool(v[0]) for v in verdicts),
                    aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi, tol)[0]
 
@@ -366,7 +349,10 @@ class ReconfigPlan:
     machine first) and the ``output_weights`` that sum their measured rows
     into the scalar it is driven by.  Both are None in the other modes: a
     virtual sensor keeps the faulty subsystem's nominal chain observer, fed
-    the corrected reading.
+    the reading divided by the diagnosed gain factor.  That is
+    :func:`virtual_sensor` with ``P = 1 / factor``; with this plan's ``P``
+    (:func:`default_P`, the faulty rows zeroed) :func:`virtual_sensor`
+    returns the estimate's output ``C x_hat`` and no innovation.
     """
 
     mode: str
@@ -451,7 +437,7 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
             chunk = sets[start:start + step]
             # The faulty member is the first block of every set.
             A, B, C, C_healthy = _gather(lin, np.subtract(chunk, 1), 0, rows)
-            verdicts = _screen(A, C, slice(0, N_STATES), tol)
+            verdicts = _screen(A, C, tol)
             verdicts = zip(*(v.tolist() for v in verdicts))
             for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
                 rep, observer = _report(ids, *verdict, A[k], B[k], C[k],

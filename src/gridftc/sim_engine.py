@@ -33,9 +33,10 @@ point) the engine asks :func:`gridftc.reconfig.rftc_select` for a plan:
 
 * virtual sensor -- the faulty subsystem's observer keeps running on the
   corrected measurement ``(reading - factor * reference) / factor``, which
-  equals the true deviation while the modeled gain factor is exact.  This is
-  the same innovation sequence the formal reconstruction produces, folded
-  into the existing chain observer.
+  equals the true deviation while the modeled gain factor is exact.  This
+  is :func:`gridftc.reconfig.virtual_sensor` with ``P = 1 / factor``, not
+  with the plan's ``P``: that one zeroes the faulty row, so the formal
+  reconstruction returns ``C x_hat`` and its innovation is zero.
 * augmentation -- a merged chain observer over the chosen subsystem set is
   started from the current member estimates (gain restarted at 1) and the
   dead sensor is switched off.  The merged estimate replaces the faulty
@@ -127,6 +128,15 @@ class ScenarioError(ValueError):
         self.field = field_name
 
 
+def _number(field_name: str, value) -> float:
+    """``value`` as a float, else a :class:`ScenarioError` naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(field_name,
+                            f"must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ObserverConfig:
     """Observer settings shared by the whole bank.
@@ -167,7 +177,11 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.gains is not None:
-            g = np.asarray(self.gains, dtype=float)
+            try:
+                g = np.asarray(self.gains, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError("controller.gains",
+                                    "must be rows of numbers") from exc
             if g.ndim != 2 or g.shape[1] != N_STATES:
                 raise ScenarioError("controller.gains",
                                     f"expected shape (n_subsystems, {N_STATES})")
@@ -246,7 +260,8 @@ class Scenario:
     def from_dict(cls, d: dict, base_dir=None) -> "Scenario":
         """Build and validate a scenario from its JSON object.
 
-        Fields (an unknown field or sub-key raises :class:`ScenarioError`
+        Fields (an unknown field or sub-key, a sub-object that is not an
+        object and a value of the wrong type raise :class:`ScenarioError`
         naming it):
 
         * ``plant`` (required) -- a plant JSON file, relative to
@@ -317,7 +332,9 @@ class Scenario:
                 ("observer", ("l_mode", "l_value", "L_max", "initial_offset")),
                 ("controller", ("gains",)), ("weights", ("alpha", "xi")),
                 ("outputs", DEFAULT_OUTPUTS)):
-            sub[key] = dict(d.get(key, {}))
+            sub[key] = d.get(key, {})
+            if not isinstance(sub[key], dict):
+                raise ScenarioError(key, "must be an object")
             for name in sub[key]:
                 if name not in allowed:
                     raise ScenarioError(f"{key}.{name}",
@@ -325,21 +342,29 @@ class Scenario:
         for key, name in sub["outputs"].items():
             if not isinstance(name, str) or not name:
                 raise ScenarioError(f"outputs.{key}", "must be a file name")
+        if not isinstance(d.get("reconfigure", True), bool):
+            raise ScenarioError("reconfigure", "must be true or false")
+        observer = dict(sub["observer"])
+        for name in ("l_value", "L_max", "initial_offset"):
+            if observer.get(name) is not None:
+                observer[name] = _number(f"observer.{name}", observer[name])
 
         scn = cls(
             plant=plant,
-            horizon=float(d["horizon"]),
-            dt=float(d["dt"]),
+            horizon=_number("horizon", d["horizon"]),
+            dt=_number("dt", d["dt"]),
             faults=faults,
-            observer=ObserverConfig(**sub["observer"]),
+            observer=ObserverConfig(**observer),
             controller=ControllerConfig(**sub["controller"]),
-            alpha=float(sub["weights"].get("alpha", 100.0)),
-            xi=float(sub["weights"].get("xi", 50.0)),
-            j_max=None if d.get("j_max") is None else float(d["j_max"]),
-            noise_amplitude=float(d.get("noise_amplitude", 0.0)),
-            settling_window=float(d.get("settling_window",
-                                        DEFAULT_SETTLING_WINDOW)),
-            reconfigure=bool(d.get("reconfigure", True)),
+            alpha=_number("weights.alpha", sub["weights"].get("alpha", 100.0)),
+            xi=_number("weights.xi", sub["weights"].get("xi", 50.0)),
+            j_max=None if d.get("j_max") is None
+            else _number("j_max", d["j_max"]),
+            noise_amplitude=_number("noise_amplitude",
+                                    d.get("noise_amplitude", 0.0)),
+            settling_window=_number("settling_window", d.get(
+                "settling_window", DEFAULT_SETTLING_WINDOW)),
+            reconfigure=d.get("reconfigure", True),
             name=str(d.get("name", "scenario")),
             plant_ref=plant_ref,
             outputs={**DEFAULT_OUTPUTS, **sub["outputs"]},

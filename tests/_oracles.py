@@ -277,27 +277,6 @@ def structurally_observable_dfs(pattern):
     return bool(np.all(reached))
 
 
-def numeric_observable_ix(aug, tol, cascade_observable, kalman_rank):
-    """Cascade-or-Kalman choice with every sub-block gathered by ``np.ix_``
-    before the coupling is inspected; the two tests are passed in."""
-    healthy = [i for i in aug.ids if i != aug.faulty_id]
-    if healthy:
-        h_idx = np.concatenate([np.arange(aug.index_map[i].start,
-                                          aug.index_map[i].stop)
-                                for i in healthy])
-        f_sl = aug.index_map[aug.faulty_id]
-        f_idx = np.arange(f_sl.start, f_sl.stop)
-        if not np.any(aug.A[np.ix_(f_idx, h_idx)]):
-            C1 = aug.C[np.ix_(np.any(aug.C, axis=1), h_idx)]
-            if C1.size == 0:
-                return False
-            ok, _ = cascade_observable(aug.A[np.ix_(h_idx, h_idx)],
-                                       aug.A[np.ix_(h_idx, f_idx)],
-                                       aug.A[np.ix_(f_idx, f_idx)], C1, tol)
-            return ok
-    return kalman_rank(aug.A, aug.C, tol)[1]
-
-
 def chain_step_loops(z, y, g, uch, dt, L, L_max, l_value=None):
     """One RK4 step of one chain observer, then one Euler step of its gain.
 
@@ -339,16 +318,15 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
 
     Every helper subset is enumerated in ascending cardinality, each merged
     candidate is built by ``augment_loops`` and screened by the depth-first
-    structural test, the ``np.ix_`` cascade-or-Kalman choice (Kalman by
-    ``svd_observable``) and a 2-D ``obs.is_hurwitz``; survivors are priced
-    with ``obs.obs_gramian``, ``obs.hf_norm_sq`` and ``obs.cost_J``
-    (``obs`` is ``gridftc.observability``), whose arithmetic the screens do
-    not touch.  A stable, observable set must also take a chain form from
-    one measured output row, tried one row at a time and then their sum,
-    or it is rejected before pricing.  The cheapest set at or under
-    ``j_max`` at the first cardinality holding one wins, ties to the
-    smaller id tuple.  Returns what ``ReconfigPlan.to_dict()`` returns for
-    the same search.
+    structural test, ``svd_observable`` and a 2-D ``obs.is_hurwitz``;
+    survivors are priced with ``obs.obs_gramian``, ``obs.hf_norm_sq`` and
+    ``obs.cost_J`` (``obs`` is ``gridftc.observability``), whose arithmetic
+    the screens do not touch.  A stable, observable set must also take a
+    chain form from one measured output row, tried one row at a time and
+    then their sum, or it is rejected before pricing.  The cheapest set at
+    or under ``j_max`` at the first cardinality holding one wins, ties to
+    the smaller id tuple.  Returns what ``ReconfigPlan.to_dict()`` returns
+    for the same search.
     """
     from gridftc.observer import to_chain_form
 
@@ -356,9 +334,6 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
     rows = list(range(p)) if faulty_rows is None else list(faulty_rows)
     helpers = [i for i in range(1, lin.n + 1)
                if i != faulty_id and i not in excluded_ids]
-
-    def kalman(A, C, tol):
-        return None, svd_observable(A, C, tol)
 
     def has_chain_form(aug):
         measured = [row for row in aug.C if np.any(row)]
@@ -379,7 +354,7 @@ def select_loops(faulty_id, lin, alpha, xi, obs, *, j_max, faulty_rows=None,
         if not structurally_observable_dfs(types.SimpleNamespace(
                 A=aug.A != 0, C=aug.C != 0)):
             return dict(out, reason="structurally unobservable")
-        if not numeric_observable_ix(aug, tol, obs.cascade_observable, kalman):
+        if not svd_observable(aug.A, aug.C, tol):
             return dict(out, reason="numerically unobservable")
         if not out["stable"]:
             return dict(out, observable=True,
@@ -608,29 +583,33 @@ def run_scenario_loops(scn, seed=0):
         if k == n_steps:
             break
 
-        u_dev = -(K * xhat).sum(1)
-        if merged is not None:
-            u_dev[merged["fid"] - 1] = 0.0
-        u_abs = u0 + u_dev
-        e1 = y_used - Z[:, 0]
-        Z_next = _chain_rk4_rows(Z, y_used, coeffs * Lg[:, None] ** powers,
-                                 ICn * u_dev[:, None], dt)
-        Lg_next = _gain_rows(Lg, e1, dt, L_max, l_const)
-        Z = np.where(nominal_active[:, None], Z_next, Z)
-        Lg = np.where(nominal_active, Lg_next, Lg)
-        if merged is not None:
-            spec = merged["spec"]
-            idx = np.array(spec.ids) - 1
-            y = float(merged["weights"] @ y_used[idx])
-            uch = spec.chain.input_chain @ u_dev[idx]
-            g = merged["coeffs"] * merged["L"] ** merged["powers"]
-            e1m = y - merged["z"][0]
-            merged["z"] = _chain_rk4_rows(merged["z"], y, g, uch, dt)
-            merged["L"] = _gain_rows(merged["L"], e1m, dt, L_max, l_const)
+        # a state that overflows is the divergence check's to report, as in
+        # the engine
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_dev = -(K * xhat).sum(1)
+            if merged is not None:
+                u_dev[merged["fid"] - 1] = 0.0
+            u_abs = u0 + u_dev
+            e1 = y_used - Z[:, 0]
+            Z_next = _chain_rk4_rows(Z, y_used,
+                                     coeffs * Lg[:, None] ** powers,
+                                     ICn * u_dev[:, None], dt)
+            Lg_next = _gain_rows(Lg, e1, dt, L_max, l_const)
+            Z = np.where(nominal_active[:, None], Z_next, Z)
+            Lg = np.where(nominal_active, Lg_next, Lg)
+            if merged is not None:
+                spec = merged["spec"]
+                idx = np.array(spec.ids) - 1
+                y = float(merged["weights"] @ y_used[idx])
+                uch = spec.chain.input_chain @ u_dev[idx]
+                g = merged["coeffs"] * merged["L"] ** merged["powers"]
+                e1m = y - merged["z"][0]
+                merged["z"] = _chain_rk4_rows(merged["z"], y, g, uch, dt)
+                merged["L"] = _gain_rows(merged["L"], e1m, dt, L_max, l_const)
 
-        k1 = _rhs_rows(x, u_abs, rhs_k)
-        k2 = _rhs_rows(x + 0.5 * dt * k1, u_abs, rhs_k)
-        k3 = _rhs_rows(x + 0.5 * dt * k2, u_abs, rhs_k)
-        k4 = _rhs_rows(x + dt * k3, u_abs, rhs_k)
-        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            k1 = _rhs_rows(x, u_abs, rhs_k)
+            k2 = _rhs_rows(x + 0.5 * dt * k1, u_abs, rhs_k)
+            k3 = _rhs_rows(x + 0.5 * dt * k2, u_abs, rhs_k)
+            k4 = _rhs_rows(x + dt * k3, u_abs, rhs_k)
+            x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return out

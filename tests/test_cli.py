@@ -62,7 +62,12 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
     for key, value, field in [
             ("dt", 0.0, "dt"),
             ("controller", {"poles": [-1.2, -1.7, -2.4]}, "controller.poles"),
-            ("outputs", {"traj": "mytraj.csv"}, "outputs.traj")]:
+            ("outputs", {"traj": "mytraj.csv"}, "outputs.traj"),
+            ("observer", None, "observer"),
+            ("weights", [1, 2], "weights"),
+            ("horizon", "abc", "horizon"),
+            ("j_max", "x", "j_max"),
+            ("reconfigure", "false", "reconfigure")]:
         d = json.loads(scn_path.read_text())
         d[key] = value
         bad = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as orc
 from gridftc.power_model import (
@@ -17,6 +18,7 @@ from gridftc.power_model import (
     save_plant,
     verify_equilibrium,
 )
+from test_screening_equivalence import coupled_plant
 
 OMEGA0 = 100.0 * np.pi
 
@@ -224,6 +226,26 @@ def test_linearize_block_structure(desk5_lin):
     # enters an angle equation
     assert np.all(lin.Gint[:, :, :, 1] == 0.0)
     assert np.all(lin.Gint[:, :, 0, :] == 0.0)
+
+
+def _assert_rotation_invariant(lin):
+    """A uniform shift of every rotor angle leaves the RHS unchanged, so the
+    angle columns of each speed and EMF row sum to zero."""
+    full = lin.full_matrix()
+    angle_sums = full[:, lin.state_index()[:, 0]].sum(axis=1)
+    assert np.max(np.abs(angle_sums)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("name", ["desk2", "desk4", "desk5"])
+def test_linearize_rotation_invariance_desk(name, request):
+    _assert_rotation_invariant(request.getfixturevalue(name).linearize())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.25, 0.5, 1.0]))
+def test_linearize_rotation_invariance_coupled(n, seed, density):
+    _assert_rotation_invariant(coupled_plant(n, seed, density))
 
 
 def test_linearize_rejects_non_equilibrium(desk5):

@@ -18,7 +18,7 @@ from gridftc.reconfig import (
     virtual_sensor,
 )
 from test_power_model import make_params
-from test_screening_equivalence import coupled_plant
+from test_screening_equivalence import coupled_plant, directed_plant
 
 
 def symmetric_triangle():
@@ -248,6 +248,18 @@ def test_select_skips_a_set_without_a_chain_form():
     rep = {c.candidate: c for c in plan.candidates}[(5, 3)]
     assert rep.reason == "no single-output chain form"
     assert not rep.observable and rep.stable and rep.J is None
+
+
+def test_select_keeps_the_faulty_members_live_rows():
+    # Machine 3 has no entry in its helpers' columns, and only its row 0 is
+    # dead: its live row 1 sees (3, 4), which a test on the helper outputs
+    # alone would miss.
+    plan = rftc_select(3, directed_plant(5, 2, 0.15, p=2), 100.0, 50.0,
+                       faulty_rows=[0], j_max=np.inf)
+    assert plan.mode == "augmentation" and plan.augment_set == (3, 4)
+    assert plan.J == pytest.approx(36.6326, abs=1e-4)
+    rep = {c.candidate: c for c in plan.candidates}[(3, 4)]
+    assert rep.observable and rep.stable
 
 
 def test_select_rejects_unknown_subsystem(desk5_lin):

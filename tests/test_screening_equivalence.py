@@ -4,7 +4,7 @@
 full-plant matrices as one stack and runs every screen once on it: the
 structural screen walks whole frontiers, ``is_hurwitz`` and the Kalman test
 take stacks, and ``obsv_matrix`` fills a preallocated array.  Each must give
-exactly what the block-copy, depth-first, ``np.ix_``, ``vstack`` and
+exactly what the block-copy, depth-first, ``vstack`` and
 one-matrix-at-a-time versions give, down to the last bit of every reported
 cost.
 """
@@ -61,8 +61,7 @@ def coupled_plant(n, seed, density):
 
 
 def directed_plant(n, seed, density, p=1):
-    """Random blocks with one-way couplings and ``p`` outputs per member, so
-    the cascade branch of the numeric test is taken for some candidates."""
+    """Random blocks with one-way couplings and ``p`` outputs per member."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, 3, 3)) - 2.5 * np.eye(3)
     mask = rng.random((n, n)) < density
