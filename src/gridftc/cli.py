@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .observability import kalman_rank
-from .power_model import load_plant
+from .power_model import N_OUTPUTS, load_plant
 from .reconfig import FAULT_KINDS, FaultEvent, fault_output_map, rftc_select
 from .sim_engine import (
     ScenarioError,
@@ -88,6 +88,9 @@ def _fault_from_args(args, n: int) -> FaultEvent:
     if not 1 <= args.subsystem <= n:
         raise _CliError(
             f"subsystem {args.subsystem} outside 1..{n} for this plant")
+    if args.sensor_row >= N_OUTPUTS:
+        raise _CliError(f"sensor row {args.sensor_row} is not one of the "
+                        f"machine's {N_OUTPUTS} output rows")
     try:
         return FaultEvent(kind=args.fault, subsystem=args.subsystem,
                           t_fault=0.0, factor=args.factor,

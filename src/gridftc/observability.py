@@ -7,6 +7,12 @@ the H2-based cost used to rank sensor-substitution candidates.  The screens
 (``obsv_matrix``, ``kalman_rank``, ``structurally_observable`` and
 ``is_hurwitz``) also take stacks of systems on leading axes and answer each
 one as a 2-D call would.
+
+The Lyapunov equations are solved in Kronecker form: a d-state equation is
+one dense d^2 x d^2 linear system, O(d^6) work.  That suits the merged
+pairs (d = 6) the reconfiguration search prices, where a Gramian and a
+functionality gap together take about 0.2 ms, but it grows fast: about
+1 ms at d = 12 and 0.1 s at d = 36 (2-CPU x86 machine, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "StateSpace",
@@ -360,14 +365,21 @@ def is_hurwitz(A):
 
 
 def _lyap_with_refinement(AT: np.ndarray, Q: np.ndarray, target: float) -> np.ndarray:
-    """Solve AT X + X AT^T + Q = 0 and refine until the residual meets target."""
-    X = scipy.linalg.solve_continuous_lyapunov(AT, -Q)
+    """Solve AT X + X AT^T + Q = 0 and refine until the residual meets target.
+
+    On row-major ``X.ravel()`` the equation is the d^2 x d^2 system
+    ``K = kron(AT, I) + kron(I, AT)``, built once and solved densely for the
+    first solution and every refinement step (cost: see the module docstring).
+    """
+    d = AT.shape[0]
+    K = np.kron(AT, np.eye(d)) + np.kron(np.eye(d), AT)
+    X = np.linalg.solve(K, -Q.ravel()).reshape(d, d)
     X = 0.5 * (X + X.T)
     for _ in range(5):
         R = AT @ X + X @ AT.T + Q
         if np.linalg.norm(R, "fro") <= target:
             return X
-        dX = scipy.linalg.solve_continuous_lyapunov(AT, -R)
+        dX = np.linalg.solve(K, -R.ravel()).reshape(d, d)
         X = X + 0.5 * (dX + dX.T)
     R = AT @ X + X @ AT.T + Q
     if np.linalg.norm(R, "fro") > target:
@@ -392,7 +404,9 @@ def obs_gramian(A, C, *, assume_hurwitz: bool = False) -> np.ndarray:
     a caller that has already screened ``A``, like the reconfiguration
     search, passes ``assume_hurwitz=True`` to skip this eigenvalue check).
     The returned matrix is symmetrized and satisfies the equation with a
-    Frobenius residual at most 1e-10 times ||C^T C||_F.
+    Frobenius residual at most 1e-10 times ||C^T C||_F.  The equation is
+    solved as one dense (n^2, n^2) Kronecker-form system, which is cheap
+    for the 6-state merged pairs the search prices and O(n^6) beyond.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -404,8 +418,8 @@ def obs_gramian(A, C, *, assume_hurwitz: bool = False) -> np.ndarray:
 
 
 def ctrl_gramian(A, B, *, assume_hurwitz: bool = False) -> np.ndarray:
-    """Controllability Gramian from A W + W A^T + B B^T = 0 (Hurwitz ``A``
-    as for :func:`obs_gramian`)."""
+    """Controllability Gramian from A W + W A^T + B B^T = 0 (Hurwitz ``A``,
+    residual bound and Kronecker-form solve as for :func:`obs_gramian`)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:

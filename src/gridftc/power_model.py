@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 N_STATES = 3  # angle, speed, transient EMF (deviations per machine)
+N_OUTPUTS = 1  # measured rows per machine: its rotor angle
 
 
 class EquilibriumError(ValueError):
@@ -426,7 +427,7 @@ def linearize(op: OperatingPoint, params: Sequence[GeneratorParams],
     Gint[on, on] = 0.0
     Bsub = np.zeros((n, N_STATES))
     Bsub[:, 2] = k.inv_Tdo
-    Csub = np.zeros((n, 1, N_STATES))
+    Csub = np.zeros((n, N_OUTPUTS, N_STATES))
     Csub[:, 0, 0] = 1.0
     return LinearizedPlant(A=A, Gint=Gint, Bsub=Bsub, Csub=Csub)
 

@@ -85,7 +85,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .observability import StateSpace
 from .observer import (
@@ -96,6 +95,7 @@ from .observer import (
     to_chain_form,
 )
 from .power_model import (
+    N_OUTPUTS,
     N_STATES,
     PlantModel,
     _rhs_constants,
@@ -209,6 +209,13 @@ class Scenario:
     outputs: dict = field(default_factory=lambda: dict(DEFAULT_OUTPUTS))
 
     def validate(self) -> None:
+        for name, value in (("horizon", self.horizon), ("dt", self.dt),
+                            ("noise_amplitude", self.noise_amplitude),
+                            ("settling_window", self.settling_window),
+                            ("weights.alpha", self.alpha),
+                            ("weights.xi", self.xi)):
+            if not math.isfinite(value):
+                raise ScenarioError(name, f"must be finite, got {value}")
         if not self.dt > 0:
             raise ScenarioError("dt", f"must be positive, got {self.dt}")
         if not self.horizon > 0:
@@ -233,6 +240,10 @@ class Scenario:
             if not 1 <= f.subsystem <= n:
                 raise ScenarioError(f"faults[{i}].subsystem",
                                     f"subsystem {f.subsystem} outside 1..{n}")
+            if f.sensor_row >= N_OUTPUTS:
+                raise ScenarioError(f"faults[{i}].sensor_row",
+                                    f"row {f.sensor_row} is not one of the "
+                                    f"machine's {N_OUTPUTS} output rows")
             if self.reconfigure and f.kind != "gain":
                 # The engine runs one merged observer; a second one would
                 # replace it and freeze the first faulty machine's estimate.
@@ -261,8 +272,8 @@ class Scenario:
         """Build and validate a scenario from its JSON object.
 
         Fields (an unknown field or sub-key, a sub-object that is not an
-        object and a value of the wrong type raise :class:`ScenarioError`
-        naming it):
+        object, a value of the wrong type and a non-finite number other
+        than ``j_max`` raise :class:`ScenarioError` naming it):
 
         * ``plant`` (required) -- a plant JSON file, relative to
           ``base_dir`` unless absolute, or the inline object that
@@ -273,9 +284,10 @@ class Scenario:
         * ``faults`` -- time-ordered fault events, default none; each has
           ``t_fault``, ``subsystem`` (1-based), ``kind`` (``gain``,
           ``stuck`` or ``total-loss``) and ``fdi_delay``, plus
-          ``sensor_row`` (default 0), ``factor`` (gain faults only,
-          required there) and ``stuck_value`` (default: hold the last
-          reading).
+          ``sensor_row`` (default 0, a row of the machine's output map;
+          each machine measures only its angle, row 0), ``factor`` (gain
+          faults only, required there) and ``stuck_value`` (default: hold
+          the last reading).
         * ``observer`` -- ``l_mode`` (``"self"`` or ``"constant"``, default
           ``"self"``), ``l_value`` (required and positive in constant mode),
           ``L_max`` (default ``DEFAULT_L_MAX``) and ``initial_offset``
@@ -284,7 +296,7 @@ class Scenario:
           without it there is no feedback.
         * ``weights`` -- the search's cost weights ``alpha`` (default 100)
           and ``xi`` (default 50).
-        * ``j_max`` -- the cost cap, default null (no cap).
+        * ``j_max`` -- the cost cap, default null (no cap, as is Infinity).
         * ``noise_amplitude`` -- half-width of the uniform noise on every
           angle reading, default 0.
         * ``settling_window`` -- s, default ``DEFAULT_SETTLING_WINDOW``.
@@ -449,10 +461,6 @@ class TrajectoryLog:
     diag_stride: int = 1
     unrecoverable: bool = False
     diverged: bool = False
-
-    @property
-    def n_subsystems(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass
@@ -849,7 +857,9 @@ def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
     X = log.x[::stride].reshape(-1, N_STATES * n)
     coupling = lin.Gint.transpose(0, 2, 1, 3).reshape(N_STATES * n,
                                                       N_STATES * n)
-    T = block_diag(*Tn)
+    T = np.zeros((n, N_STATES, n, N_STATES))
+    T[np.arange(n), :, np.arange(n), :] = Tn
+    T = T.reshape(N_STATES * n, N_STATES * n)
     log.interactions = (X @ (T @ coupling).T).reshape(-1, n, N_STATES)
     log.chain_true = (X @ T.T).reshape(-1, n, N_STATES)
     log.diag_stride = stride

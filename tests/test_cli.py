@@ -59,17 +59,29 @@ def test_run_missing_scenario(tmp_path, capsys):
 
 def test_run_reports_bad_field(short_run, tmp_path, capsys):
     scn_path, _ = short_run
-    for key, value, field in [
-            ("dt", 0.0, "dt"),
-            ("controller", {"poles": [-1.2, -1.7, -2.4]}, "controller.poles"),
-            ("outputs", {"traj": "mytraj.csv"}, "outputs.traj"),
-            ("observer", None, "observer"),
-            ("weights", [1, 2], "weights"),
-            ("horizon", "abc", "horizon"),
-            ("j_max", "x", "j_max"),
-            ("reconfigure", "false", "reconfigure")]:
+    # Machine 2 measures one row (row 0); a fault on row 1 is diagnosed
+    # within the horizon, so only validation can catch it.
+    row1 = {"faults": [{"t_fault": 1.0, "subsystem": 2, "kind": "total-loss",
+                        "sensor_row": 1, "fdi_delay": 0.5}],
+            "settling_window": 0.5}
+    for update, field in [
+            ({"dt": 0.0}, "dt"),
+            ({"controller": {"poles": [-1.2, -1.7, -2.4]}}, "controller.poles"),
+            ({"outputs": {"traj": "mytraj.csv"}}, "outputs.traj"),
+            ({"observer": None}, "observer"),
+            ({"weights": [1, 2]}, "weights"),
+            ({"horizon": "abc"}, "horizon"),
+            ({"j_max": "x"}, "j_max"),
+            ({"reconfigure": "false"}, "reconfigure"),
+            (row1, "faults[0].sensor_row"),
+            ({"horizon": math.inf}, "horizon"),
+            ({"dt": math.inf}, "dt"),
+            ({"noise_amplitude": math.nan}, "noise_amplitude"),
+            ({"settling_window": math.inf}, "settling_window"),
+            ({"weights": {"alpha": math.inf}}, "weights.alpha"),
+            ({"weights": {"xi": math.inf}}, "weights.xi")]:
         d = json.loads(scn_path.read_text())
-        d[key] = value
+        d.update(update)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
@@ -160,13 +172,14 @@ def test_subcommands_reject_flags_they_ignore(short_run, desk5_plant_path,
         assert exc.value.code == 2, argv
 
 
-def test_import_leaves_scipy_signal_out():
+def test_import_leaves_scipy_out():
     src = Path(gridftc.__file__).resolve().parents[1]
     code = ("import sys, gridftc, gridftc.cli; "
-            "print('scipy.signal' in sys.modules)")
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_out_env_var_fallback(short_run, tmp_path, monkeypatch):
@@ -210,6 +223,12 @@ def test_analyze_rejects_bad_subsystem(desk5_plant_path, capsys):
     assert main(["analyze", desk5_plant_path, "--fault", "total-loss",
                  "--subsystem", "9"]) == 2
     assert "outside 1..5" in capsys.readouterr().err
+
+
+def test_plan_rejects_sensor_row_outside_output_map(desk5_plant_path, capsys):
+    assert main(["plan", desk5_plant_path, "--fault", "total-loss",
+                 "--subsystem", "5", "--sensor-row", "1"]) == 2
+    assert "sensor row 1" in capsys.readouterr().err
 
 
 def test_bad_fault_kind_is_an_argparse_error(desk5_plant_path):

@@ -255,12 +255,21 @@ def test_hf_row_zeroing_matches_two_evaluations(rng):
         assert direct == pytest.approx(split, rel=1e-10, abs=1e-14)
 
 
-def test_gramians_share_lyapunov_solver(rng):
-    A = orc.random_hurwitz(rng, 5)
-    B = rng.standard_normal((5, 2))
-    Wc = ctrl_gramian(A, B)
-    ref = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
-    assert np.allclose(Wc, ref, atol=1e-10)
+def test_gramians_match_scipy_lyapunov(rng):
+    # scipy's Bartels-Stewart solver is an independent reference for the
+    # package's Kronecker-form solve.
+    def rel_err(W, ref):
+        return np.linalg.norm(W - ref, "fro") / np.linalg.norm(ref, "fro")
+
+    for n in range(1, 11):
+        for p in (1, 2, 3):
+            A = orc.random_hurwitz(rng, n)
+            C = rng.standard_normal((p, n))
+            B = rng.standard_normal((n, p))
+            ref_o = scipy.linalg.solve_continuous_lyapunov(A.T, -C.T @ C)
+            ref_c = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
+            assert rel_err(obs_gramian(A, C), ref_o) <= 1e-9, (n, p)
+            assert rel_err(ctrl_gramian(A, B), ref_c) <= 1e-9, (n, p)
 
 
 # ---------------------------------------------------------------------- cost
