@@ -55,6 +55,29 @@ class _CliError(Exception):
     """Input problem that maps to exit code 2."""
 
 
+def _float_arg(ok, what: str):
+    """argparse ``type`` for a float that ``ok`` accepts; anything else is a
+    usage error (exit code 2) that says the value must be ``what``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a number: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
+
+
+_POSITIVE = _float_arg(lambda v: 0.0 < v < math.inf,
+                       "a positive finite number")
+_NONNEGATIVE = _float_arg(lambda v: 0.0 <= v < math.inf,
+                          "a nonnegative finite number")
+_FINITE = _float_arg(math.isfinite, "a finite number")
+_CAP = _float_arg(lambda v: not math.isnan(v), "a number or inf")
+
+
 def _out_dir(args) -> Path:
     if args.out is not None:
         d = Path(args.out)
@@ -256,22 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
                          "or the working directory)")
 
     fault_opts = argparse.ArgumentParser(add_help=False)
-    fault_opts.add_argument("--tol", type=float, default=1e-9,
+    fault_opts.add_argument("--tol", type=_POSITIVE, default=1e-9,
                             help="numeric rank / screening tolerance")
     fault_opts.add_argument("--fault", default=None,
                             choices=FAULT_KINDS,
                             help="sensor fault kind to analyze")
     fault_opts.add_argument("--subsystem", type=int, default=None,
                             help="1-based faulty subsystem id")
-    fault_opts.add_argument("--factor", type=float, default=1.0,
+    fault_opts.add_argument("--factor", type=_FINITE, default=1.0,
                             help="gain-fault scale factor")
     fault_opts.add_argument("--sensor-row", type=int, default=0,
                             help="faulty output row of the subsystem")
-    fault_opts.add_argument("--alpha", type=float, default=100.0,
+    fault_opts.add_argument("--alpha", type=_NONNEGATIVE, default=100.0,
                             help="observability-weakness weight")
-    fault_opts.add_argument("--xi", type=float, default=50.0,
+    fault_opts.add_argument("--xi", type=_NONNEGATIVE, default=50.0,
                             help="functionality-gap weight")
-    fault_opts.add_argument("--j-max", type=float, default=None,
+    fault_opts.add_argument("--j-max", type=_CAP, default=None,
                             help="cost cap for admissible candidates")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,9 +5,9 @@ measurement vector is rebuilt from the surviving rows plus the observer
 estimate (virtual sensor).  When observability is lost outright, the faulty
 subsystem is merged with neighbours until the merged system is observable
 from the neighbours' sensors; candidate sets are screened structurally,
-numerically and for stability, a stack of sets per screen call, then for a
-single-output chain form (the merged observer needs one), and ranked by a
-Gramian-based cost.
+numerically and for stability (each coupled component once per search), a
+stack of sets per screen call, then for a single-output chain form (the
+merged observer needs one), and ranked by a Gramian-based cost.
 """
 
 from __future__ import annotations
@@ -254,21 +254,66 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
                            faulty_id=faulty_id)
 
 
-def _screen(A: np.ndarray, C: np.ndarray, tol: float):
+def _screen(A: np.ndarray, C: np.ndarray, stable: np.ndarray, tol: float):
     """Structural, numeric and stability verdicts for a stack of candidates.
 
-    ``A`` is (K, d, d) and ``C`` (K, q, d).  The structural and stability
-    screens run once on the whole stack; the numeric test, one stacked
-    Kalman test, runs on the structurally observable candidates only.
-    Returns three boolean arrays of length K.
+    ``A`` is (K, d, d) and ``C`` (K, q, d).  The structural screen runs once
+    on the whole stack; the numeric test, one stacked Kalman test, runs on
+    the structurally observable candidates only.  The stability verdicts
+    ``stable`` (length K) come from the caller: :func:`rftc_select` judges
+    each coupled component of a set against its own margin (see
+    :func:`_stable_by_component`), :func:`evaluate_candidate` the whole
+    merged matrix.  The two differ only for an eigenvalue whose real part
+    lies between the component's margin and the set's.  Returns three
+    boolean arrays of length K.
     """
     structural = structurally_observable(ZeroPattern(A=A != 0, C=C != 0))
-    stable = is_hurwitz(A)
     observable = np.zeros(len(A), dtype=bool)
     if structural.any():
         observable[structural] = kalman_rank(A[structural], C[structural],
                                              tol)[1]
     return structural, observable, stable
+
+
+def _stable_by_component(lin: LinearizedPlant, sub: np.ndarray,
+                         coupled: np.ndarray, memo: dict) -> np.ndarray:
+    """Stability verdicts of a stack of merged candidate sets.
+
+    Row ``k`` of ``sub`` lists one set's 0-based members and ``coupled`` is
+    the symmetric (n, n) coupling graph: ``coupled[i, j]`` when a
+    ``Gint[i, j]`` or ``Gint[j, i]`` block is nonzero.  Members fall into
+    the connected components of the graph restricted to the set; no block
+    couples two components, so the set's eigenvalues are the union of the
+    components' and the set is stable when every component is.  A component
+    is judged by :func:`is_hurwitz` on its principal submatrix of the full
+    plant matrix, with its own margin 1e-9 max(1, |A_c|_1); ``memo`` maps a
+    component (its machines as packed bits) to its verdict, and only
+    components it lacks are judged, one stack per size.
+    """
+    K, m = sub.shape
+    reach = coupled[sub[:, :, None], sub[:, None, :]] | np.eye(m, dtype=bool)
+    for _ in range((m - 1).bit_length()):
+        reach = reach @ reach
+    # Row (k, a): the machines of member a's component in set k, as bits.
+    members = np.zeros((K, m, lin.n), dtype=bool)
+    members[np.arange(K)[:, None, None], np.arange(m)[:, None],
+            sub[:, None, :]] = reach
+    bits = np.packbits(members, axis=-1)
+    width = bits.shape[-1]
+    buf = bits.tobytes()
+    keys = [buf[i:i + width] for i in range(0, len(buf), width)]
+    by_size: dict = {}
+    for key in set(keys).difference(memo):
+        ids = np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8)))
+        by_size.setdefault(len(ids), []).append((key, ids))
+    for group in by_size.values():
+        idx = lin.state_index()[np.array([ids for _, ids in group])]
+        idx = idx.reshape(len(group), -1)
+        verdicts = is_hurwitz(lin.full_matrix()[idx[:, :, None],
+                                                idx[:, None, :]])
+        memo.update(zip((key for key, _ in group), verdicts.tolist()))
+    judged = np.fromiter(map(memo.__getitem__, keys), bool, len(keys))
+    return judged.reshape(K, m).all(axis=1)
 
 
 def _single_output_chain(A, B, C, tol: float):
@@ -335,7 +380,7 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
     The cost combines the observability Gramian trace with the
     output-functionality gap caused by the dead sensor rows.
     """
-    verdicts = _screen(aug.A[None], aug.C[None], tol)
+    verdicts = _screen(aug.A[None], aug.C[None], is_hurwitz(aug.A[None]), tol)
     return _report(aug.ids, *(bool(v[0]) for v in verdicts),
                    aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi, tol)[0]
 
@@ -394,7 +439,15 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
 
     The sets of one cardinality are gathered and screened as stacks of at
     most ``SCREEN_STACK_BYTES`` of observability matrices; only admissible
-    sets are priced, one at a time.
+    sets are priced, one at a time.  A set's stability verdict comes from
+    the connected components of the coupling graph among its members (the
+    ``Gint`` blocks, either direction): each distinct component is judged
+    once per call, on its principal submatrix and against its own margin
+    1e-9 max(1, |A_c|_1), and a set is stable when all its components are.
+    The set's eigenvalues are the union of its components', so only an
+    eigenvalue whose real part lies between a component's margin and the
+    (never smaller) margin of the whole set could be judged differently
+    from a whole-set :func:`is_hurwitz`.
 
     Without ``j_max`` every admissible candidate is acceptable; a warning is
     logged because an unbounded cost cap accepts arbitrarily poor sets.
@@ -425,6 +478,9 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
 
     helpers = sorted(i for i in range(1, n + 1)
                      if i != faulty_id and i not in set(excluded_ids))
+    coupled = lin.Gint.any(axis=(2, 3))
+    coupled |= coupled.T
+    component_memo: dict = {}
     reports: list[CostReport] = []
     for card in range(1, len(helpers) + 1):
         admissible = []
@@ -436,8 +492,10 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
         for start in range(0, len(sets), step):
             chunk = sets[start:start + step]
             # The faulty member is the first block of every set.
-            A, B, C, C_healthy = _gather(lin, np.subtract(chunk, 1), 0, rows)
-            verdicts = _screen(A, C, tol)
+            sub = np.subtract(chunk, 1)
+            A, B, C, C_healthy = _gather(lin, sub, 0, rows)
+            verdicts = _screen(A, C, _stable_by_component(
+                lin, sub, coupled, component_memo), tol)
             verdicts = zip(*(v.tolist() for v in verdicts))
             for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
                 rep, observer = _report(ids, *verdict, A[k], B[k], C[k],

@@ -234,6 +234,12 @@ class Scenario:
         for i, f in enumerate(self.faults):
             if not isinstance(f, FaultEvent):
                 raise ScenarioError(f"faults[{i}]", "not a fault event")
+            for name in ("t_fault", "fdi_delay", "factor", "stuck_value"):
+                value = getattr(f, name)
+                if value is not None and not math.isfinite(
+                        _number(f"faults[{i}].{name}", value)):
+                    raise ScenarioError(f"faults[{i}].{name}",
+                                        f"must be finite, got {value}")
             if f.t_fault < last:
                 raise ScenarioError("faults", "fault events must be time-ordered")
             last = f.t_fault

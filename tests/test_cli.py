@@ -64,6 +64,13 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
     row1 = {"faults": [{"t_fault": 1.0, "subsystem": 2, "kind": "total-loss",
                         "sensor_row": 1, "fdi_delay": 0.5}],
             "settling_window": 0.5}
+
+    def fault(**fields):
+        event = {"t_fault": 1.0, "subsystem": 2, "kind": "gain",
+                 "factor": 0.5, "fdi_delay": 0.5}
+        event.update(fields)
+        return {"faults": [event], "settling_window": 0.5}
+
     for update, field in [
             ({"dt": 0.0}, "dt"),
             ({"controller": {"poles": [-1.2, -1.7, -2.4]}}, "controller.poles"),
@@ -79,7 +86,16 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
             ({"noise_amplitude": math.nan}, "noise_amplitude"),
             ({"settling_window": math.inf}, "settling_window"),
             ({"weights": {"alpha": math.inf}}, "weights.alpha"),
-            ({"weights": {"xi": math.inf}}, "weights.xi")]:
+            ({"weights": {"xi": math.inf}}, "weights.xi"),
+            (fault(t_fault=math.nan), "faults[0].t_fault"),
+            (fault(t_fault=math.inf), "faults[0].t_fault"),
+            (fault(fdi_delay=math.nan), "faults[0].fdi_delay"),
+            (fault(fdi_delay=math.inf), "faults[0].fdi_delay"),
+            (fault(factor=math.nan), "faults[0].factor"),
+            (fault(factor=math.inf), "faults[0].factor"),
+            (fault(factor="x"), "faults[0].factor"),
+            (fault(kind="stuck", factor=None, stuck_value=math.nan),
+             "faults[0].stuck_value")]:
         d = json.loads(scn_path.read_text())
         d.update(update)
         bad = tmp_path / "bad.json"
@@ -236,6 +252,22 @@ def test_bad_fault_kind_is_an_argparse_error(desk5_plant_path):
         main(["analyze", desk5_plant_path, "--fault", "bias",
               "--subsystem", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--tol", "0"],
+    ["analyze", "--tol", "-0.001"],
+    ["analyze", "--tol", "nan"],
+    ["plan", "--fault", "total-loss", "--subsystem", "5", "--alpha", "-5"],
+    ["plan", "--fault", "gain", "--subsystem", "5", "--factor", "nan"],
+    ["plan", "--fault", "gain", "--subsystem", "5", "--factor", "inf"],
+    ["plan", "--fault", "total-loss", "--subsystem", "5", "--j-max", "nan"],
+])
+def test_fault_options_reject_bad_numbers(desk5_plant_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], desk5_plant_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: must be" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ plan

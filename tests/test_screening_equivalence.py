@@ -3,8 +3,9 @@
 ``rftc_select`` gathers each cardinality's candidates out of the cached
 full-plant matrices as one stack and runs every screen once on it: the
 structural screen walks whole frontiers, ``is_hurwitz`` and the Kalman test
-take stacks, and ``obsv_matrix`` fills a preallocated array.  Each must give
-exactly what the block-copy, depth-first, ``vstack`` and
+take stacks, ``is_hurwitz`` judges each coupled component of the sets once,
+and ``obsv_matrix`` fills a preallocated array.  Each must give exactly
+what the block-copy, depth-first, ``vstack``, whole-set and
 one-matrix-at-a-time versions give, down to the last bit of every reported
 cost.
 """
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as orc
 import gridftc.observability
+import gridftc.reconfig
 from gridftc.desk_models import desk4_plant, desk5_plant
 from gridftc.observability import (
     ZeroPattern,
@@ -42,12 +44,25 @@ QUICK = settings(derandomize=True, deadline=None, database=None,
 def coupled_plant(n, seed, density):
     """Linearized n-machine plant on a random sparse symmetric network."""
     rng = np.random.default_rng(seed)
+    return _network_plant(n, rng, lambda i, j: rng.random() < density)
+
+
+def ring_coupled_plant(n, seed):
+    """Linearized n-machine plant whose machine i is tied to i - 1 and i + 1
+    (mod n) only."""
+    return _network_plant(n, np.random.default_rng(seed),
+                          lambda i, j: j - i in (1, n - 1))
+
+
+def _network_plant(n, rng, tied):
+    """Random machines on the ties ``tied(i, j)`` (i < j) picks, drawn in
+    order from ``rng``."""
     u = rng.uniform
     G = np.diag(u(0.25, 0.30, n))
     B = np.diag(-u(1.40, 1.60, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < density:
+            if tied(i, j):
                 G[i, j] = G[j, i] = u(0.02, 0.08)
                 B[i, j] = B[j, i] = u(0.30, 0.70)
     gens = [GeneratorParams(D=u(1.5, 3.0), H=u(4.0, 6.0), omega0=100 * np.pi,
@@ -151,6 +166,27 @@ def test_select_plans_match_oracle_search(data, lin, j_max):
     assert got == ref
     if j_max == 0.0:
         assert len(got["candidates"]) == 2 ** (lin.n - 1 - len(excluded)) - 1
+
+
+def test_worst_case_search_judges_each_ring_arc_once(monkeypatch):
+    """A ring set splits into arcs of the ring, so a worst-case search hands
+    the stability screen at most one matrix per distinct arc, n (n - 1) + 1
+    of them, where judging whole sets takes 2^(n-1) - 1; the plan is still
+    the whole-set oracle's."""
+    n = 12
+    lin = ring_coupled_plant(n, 5)
+    judged = []
+
+    def counting(A):
+        judged.append(len(A) if A.ndim == 3 else 1)
+        return is_hurwitz(A)
+
+    monkeypatch.setattr(gridftc.reconfig, "is_hurwitz", counting)
+    got = rftc_select(4, lin, 100.0, 50.0, j_max=0.0).to_dict()
+    assert len(got["candidates"]) == 2 ** (n - 1) - 1
+    assert sum(judged) <= n * (n - 1) + 1
+    assert got == orc.select_loops(4, lin, 100.0, 50.0,
+                                   gridftc.observability, j_max=0.0)
 
 
 @SEARCH
