@@ -4,9 +4,9 @@ Covers the numeric Kalman rank test, a graph-based structural test, a
 three-condition test for one-directional cascades, Lyapunov-equation
 observability Gramians with an iterative-refinement residual guarantee, and
 the H2-based cost used to rank sensor-substitution candidates.  The screens
-(``obsv_matrix``, ``kalman_rank``, ``structurally_observable`` and
-``is_hurwitz``) also take stacks of systems on leading axes and answer each
-one as a 2-D call would.
+(``obsv_matrix``, ``obsv_singular_values``, ``kalman_rank``,
+``structurally_observable`` and ``is_hurwitz``) also take stacks of systems
+on leading axes and answer each one as a 2-D call would.
 
 The Lyapunov equations are solved in Kronecker form: a d-state equation is
 one dense d^2 x d^2 linear system, O(d^6) work.  That suits the merged
@@ -30,6 +30,7 @@ __all__ = [
     "CascadeReason",
     "UnstableSystemError",
     "obsv_matrix",
+    "obsv_singular_values",
     "kalman_rank",
     "structurally_observable",
     "cascade_observable",
@@ -152,32 +153,35 @@ def _scalar_or_stack(value: np.ndarray, kind):
     return kind(value) if value.ndim == 0 else value
 
 
-def _num_rank(M: np.ndarray, tol: float) -> np.ndarray:
-    """Singular values above ``tol`` times the largest, per matrix of a
-    (..., rows, cols) stack; an all-zero matrix has rank 0."""
-    if M.size == 0:
-        return np.zeros(M.shape[:-2], dtype=int)
-    s = np.linalg.svd(M, compute_uv=False)
-    # When s[0] is 0 every singular value is, and none exceeds tol * 0.
-    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
-
-
-def obsv_matrix(A, C) -> np.ndarray:
-    """Stacked observability matrix [C; CA; ...; CA^(n-1)].
+def obsv_matrix(A, C, blocks: Optional[int] = None) -> np.ndarray:
+    """Stacked observability matrix [C; CA; ...; CA^(blocks-1)].
 
     ``A`` is (..., n, n) and ``C`` is (..., p, n) (or one row of n); leading
     axes broadcast, and each matrix of a stack gets the same products in the
-    same order as a 2-D call.
+    same order as a 2-D call.  ``blocks`` defaults to n.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, p = A.shape[-1], C.shape[-2]
+    rows = p * (n if blocks is None else blocks)
     batch = np.broadcast_shapes(A.shape[:-2], C.shape[:-2])
-    O = np.empty(batch + (n * p, C.shape[-1]))
+    O = np.empty(batch + (rows, C.shape[-1]))
     O[..., :p, :] = C
-    for k in range(p, n * p, p):
+    for k in range(p, rows, p):
         np.matmul(O[..., k - p:k, :], A, out=O[..., k:k + p, :])
     return O
+
+
+def obsv_singular_values(A, C, blocks: Optional[int] = None) -> np.ndarray:
+    """Singular values, largest first, of ``obsv_matrix(A, C, blocks)``.
+
+    Stacks as :func:`obsv_matrix` does: the last axis holds each matrix's
+    min(rows, n) values (none for an empty matrix).
+    """
+    O = obsv_matrix(A, C, blocks)
+    if O.size == 0:
+        return np.zeros(O.shape[:-2] + (0,))
+    return np.linalg.svd(O, compute_uv=False)
 
 
 def kalman_rank(A, C, tol: float = DEFAULT_RANK_TOL):
@@ -191,7 +195,9 @@ def kalman_rank(A, C, tol: float = DEFAULT_RANK_TOL):
     if tol <= 0.0:
         raise ValueError(f"rank tolerance must be positive, got {tol}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    rank = _num_rank(obsv_matrix(A, C), tol)
+    s = obsv_singular_values(A, C)
+    # When s[0] is 0 every singular value is, and none exceeds tol * 0.
+    rank = np.count_nonzero(s > tol * s[..., :1], axis=-1)
     return (_scalar_or_stack(rank, int),
             _scalar_or_stack(rank == A.shape[-1], bool))
 
@@ -324,7 +330,8 @@ def cascade_observable(A11, A12, A22, C1,
             # outputs must distinguish all q directions on it
             _, _, Vh = np.linalg.svd(M)
             V = Vh.conj().T[:, n - q:]
-            if _num_rank(C.astype(complex) @ V, tol) < q:
+            sv = np.linalg.svd(C.astype(complex) @ V, compute_uv=False)
+            if np.count_nonzero(sv > tol * sv[0]) < q:
                 return False, CascadeReason.DEGENERATE_EIGENVALUE
             deg_checked.append(lam)
 

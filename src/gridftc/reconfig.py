@@ -4,10 +4,20 @@ When a subsystem keeps enough output information after a sensor fault, its
 measurement vector is rebuilt from the surviving rows plus the observer
 estimate (virtual sensor).  When observability is lost outright, the faulty
 subsystem is merged with neighbours until the merged system is observable
-from the neighbours' sensors; candidate sets are screened structurally,
-numerically and for stability (each coupled component once per search), a
-stack of sets per screen call, then for a single-output chain form (the
-merged observer needs one), and ranked by a Gramian-based cost.
+from the neighbours' sensors.  Candidate sets are screened a stack at a time:
+structurally, then numerically and for stability, then for a single-output
+chain form (the merged observer needs one), and ranked by a Gramian-based
+cost.
+
+The numeric and stability screens judge the coupled components of a set's
+members, not the whole set.  No ``Gint`` block links two components, and
+each member's outputs read only its own states, so the merged ``A`` and
+``C`` are block-diagonal over the components up to a permutation.  The
+set's eigenvalues are then the union of its components', and so are the
+singular values of its observability matrix when each component's matrix
+has as many power blocks as the set has states.  The Kalman verdict, every
+singular value above ``tol`` times the largest, becomes: the smallest
+component minimum above ``tol`` times the largest component maximum.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .observability import (
     is_hurwitz,
     kalman_rank,
     obs_gramian,
+    obsv_singular_values,
     structurally_observable,
 )
 from .observer import ChainForm, to_chain_form
@@ -53,11 +64,12 @@ MODE_VIRTUAL_SENSOR = "virtual-sensor"
 MODE_AUGMENTATION = "augmentation"
 MODE_UNRECOVERABLE = "unrecoverable"
 
-# Bytes of stacked observability matrices per screened stack of candidate
-# sets.  A set of m members with p outputs each needs 8 (3m)^2 pm bytes
-# (72 kB at m = 10, p = 1), so a cardinality is cut into as many stacks as
-# this budget needs, whatever the plant size.
-SCREEN_STACK_BYTES = 2 ** 21
+# Bytes of gathered state matrices per screened stack of candidate sets.  A
+# set of m members needs 8 (3m)^2 bytes (7.2 kB at m = 10), and about as
+# much again for its other gathered matrices and the screens' temporaries,
+# so a cardinality is cut into as many stacks as this budget needs, whatever
+# the plant size.
+SCREEN_STACK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -201,15 +213,15 @@ def _dead_rows(faulty_rows: Optional[Sequence[int]], p: int,
     return rows
 
 
-def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int,
+def _gather(lin: LinearizedPlant, sub: np.ndarray, faulty: int,
             dead_rows: list):
-    """``(A, B, C, C_healthy)`` stacks of merged candidate sets.
+    """``(A, B, C, C_healthy)`` stacks of merged sets of machines.
 
     Row ``k`` of ``sub`` lists one set's 0-based members; their states,
     inputs and output rows are laid out member by member in that order, as
     rows and columns of the cached full-plant matrices picked by one fancy
-    index each.  ``C`` is ``C_healthy`` with rows ``dead_rows`` of member
-    ``fpos`` zeroed.
+    index each.  ``C`` is ``C_healthy`` with rows ``dead_rows`` of machine
+    ``faulty`` (0-based) zeroed wherever it is a member.
     """
     K, m = sub.shape
     n, p = lin.n, lin.Csub.shape[1]
@@ -220,7 +232,9 @@ def _gather(lin: LinearizedPlant, sub: np.ndarray, fpos: int,
         sub[:, :, None, None], np.arange(p)[:, None], idx[:, None, None, :]
     ].reshape(K, m * p, N_STATES * m)
     C = C_healthy.copy()
-    C[:, [p * fpos + r for r in dead_rows]] = 0.0
+    dead = np.zeros(p, dtype=bool)
+    dead[dead_rows] = True
+    C.reshape(K, m, p, -1)[(sub == faulty)[:, :, None] & dead] = 0.0
     return A, B, C, C_healthy
 
 
@@ -245,7 +259,7 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
         raise ValueError(f"faulty subsystem {faulty_id} missing from ids {ids}")
 
     A, B, C, C_healthy = _gather(
-        lin, np.subtract(ids, 1)[None], ids.index(faulty_id),
+        lin, np.subtract(ids, 1)[None], faulty_id - 1,
         _dead_rows(faulty_rows, lin.Csub.shape[1], faulty_id))
     index_map = {i: slice(N_STATES * a, N_STATES * (a + 1))
                  for a, i in enumerate(ids)}
@@ -254,66 +268,52 @@ def augment(ids: Sequence[int], lin: LinearizedPlant, faulty_id: int,
                            faulty_id=faulty_id)
 
 
-def _screen(A: np.ndarray, C: np.ndarray, stable: np.ndarray, tol: float):
-    """Structural, numeric and stability verdicts for a stack of candidates.
-
-    ``A`` is (K, d, d) and ``C`` (K, q, d).  The structural screen runs once
-    on the whole stack; the numeric test, one stacked Kalman test, runs on
-    the structurally observable candidates only.  The stability verdicts
-    ``stable`` (length K) come from the caller: :func:`rftc_select` judges
-    each coupled component of a set against its own margin (see
-    :func:`_stable_by_component`), :func:`evaluate_candidate` the whole
-    merged matrix.  The two differ only for an eigenvalue whose real part
-    lies between the component's margin and the set's.  Returns three
-    boolean arrays of length K.
-    """
-    structural = structurally_observable(ZeroPattern(A=A != 0, C=C != 0))
-    observable = np.zeros(len(A), dtype=bool)
-    if structural.any():
-        observable[structural] = kalman_rank(A[structural], C[structural],
-                                             tol)[1]
-    return structural, observable, stable
-
-
-def _stable_by_component(lin: LinearizedPlant, sub: np.ndarray,
-                         coupled: np.ndarray, memo: dict) -> np.ndarray:
-    """Stability verdicts of a stack of merged candidate sets.
+def _components(coupled: np.ndarray, sub: np.ndarray):
+    """The coupled components of a stack of sets of machines.
 
     Row ``k`` of ``sub`` lists one set's 0-based members and ``coupled`` is
     the symmetric (n, n) coupling graph: ``coupled[i, j]`` when a
     ``Gint[i, j]`` or ``Gint[j, i]`` block is nonzero.  Members fall into
-    the connected components of the graph restricted to the set; no block
-    couples two components, so the set's eigenvalues are the union of the
-    components' and the set is stable when every component is.  A component
-    is judged by :func:`is_hurwitz` on its principal submatrix of the full
-    plant matrix, with its own margin 1e-9 max(1, |A_c|_1); ``memo`` maps a
-    component (its machines as packed bits) to its verdict, and only
-    components it lacks are judged, one stack per size.
+    the connected components of the graph restricted to the set.  Returns
+    ``(comps, where)``: the distinct components of the stack as (U, n)
+    machine masks, and the (K, m) row of ``comps`` holding each member.
     """
     K, m = sub.shape
     reach = coupled[sub[:, :, None], sub[:, None, :]] | np.eye(m, dtype=bool)
     for _ in range((m - 1).bit_length()):
         reach = reach @ reach
-    # Row (k, a): the machines of member a's component in set k, as bits.
-    members = np.zeros((K, m, lin.n), dtype=bool)
-    members[np.arange(K)[:, None, None], np.arange(m)[:, None],
-            sub[:, None, :]] = reach
+    members = np.zeros((K * m, len(coupled)), dtype=bool)
+    members.reshape(K, m, -1)[np.arange(K)[:, None, None],
+                              np.arange(m)[:, None], sub[:, None, :]] = reach
+    # Sort the masks as 64-bit words (np.unique on boolean rows is far
+    # slower) and number the runs of equal ones.
     bits = np.packbits(members, axis=-1)
-    width = bits.shape[-1]
-    buf = bits.tobytes()
-    keys = [buf[i:i + width] for i in range(0, len(buf), width)]
-    by_size: dict = {}
-    for key in set(keys).difference(memo):
-        ids = np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8)))
-        by_size.setdefault(len(ids), []).append((key, ids))
-    for group in by_size.values():
-        idx = lin.state_index()[np.array([ids for _, ids in group])]
-        idx = idx.reshape(len(group), -1)
-        verdicts = is_hurwitz(lin.full_matrix()[idx[:, :, None],
-                                                idx[:, None, :]])
-        memo.update(zip((key for key, _ in group), verdicts.tolist()))
-    judged = np.fromiter(map(memo.__getitem__, keys), bool, len(keys))
-    return judged.reshape(K, m).all(axis=1)
+    words = np.zeros((K * m, -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    first = np.ones(K * m, dtype=bool)
+    first[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+    where = np.empty(K * m, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return members[order[first]], where.reshape(K, m)
+
+
+def _by_component(comps: np.ndarray, memo: dict, judge) -> np.ndarray:
+    """``judge``'s value for each component (row of machine masks).
+
+    ``memo`` maps a component's mask bytes to its value; the components it
+    lacks go to ``judge`` as one (G, s) stack of 0-based machine ids per
+    size s, which returns G values.
+    """
+    keys = [c.tobytes() for c in comps]
+    new = np.array([key not in memo for key in keys], dtype=bool)
+    sizes = comps.sum(axis=1)
+    for size in set(sizes[new].tolist()):
+        pick = np.flatnonzero(new & (sizes == size))
+        ids = np.nonzero(comps[pick])[1].reshape(len(pick), size)
+        memo.update(zip([keys[i] for i in pick], judge(ids)))
+    return np.array([memo[key] for key in keys])
 
 
 def _single_output_chain(A, B, C, tol: float):
@@ -373,15 +373,18 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
                        tol: float = 1e-9) -> CostReport:
     """Screen one candidate set and, when admissible, price it.
 
-    The structural filter catches decoupled members, the numeric
-    observability test and the stability screen on the merged state matrix
-    follow, then the single-output chain form the merged observer needs;
-    this is the stack-of-one case of the screening in :func:`rftc_select`.
+    The structural filter catches decoupled members, the whole-set Kalman
+    test and the stability screen on the merged state matrix follow, then
+    the single-output chain form the merged observer needs; this is the
+    whole-set reference for the per-component screening in
+    :func:`rftc_select`.
     The cost combines the observability Gramian trace with the
     output-functionality gap caused by the dead sensor rows.
     """
-    verdicts = _screen(aug.A[None], aug.C[None], is_hurwitz(aug.A[None]), tol)
-    return _report(aug.ids, *(bool(v[0]) for v in verdicts),
+    structural = structurally_observable(ZeroPattern(A=aug.A != 0,
+                                                     C=aug.C != 0))
+    observable = structural and kalman_rank(aug.A, aug.C, tol)[1]
+    return _report(aug.ids, structural, observable, is_hurwitz(aug.A),
                    aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi, tol)[0]
 
 
@@ -438,16 +441,25 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
     (for example ones currently faulty themselves).
 
     The sets of one cardinality are gathered and screened as stacks of at
-    most ``SCREEN_STACK_BYTES`` of observability matrices; only admissible
-    sets are priced, one at a time.  A set's stability verdict comes from
-    the connected components of the coupling graph among its members (the
-    ``Gint`` blocks, either direction): each distinct component is judged
-    once per call, on its principal submatrix and against its own margin
-    1e-9 max(1, |A_c|_1), and a set is stable when all its components are.
-    The set's eigenvalues are the union of its components', so only an
-    eigenvalue whose real part lies between a component's margin and the
-    (never smaller) margin of the whole set could be judged differently
-    from a whole-set :func:`is_hurwitz`.
+    most ``SCREEN_STACK_BYTES`` of state matrices; only admissible sets are
+    priced, one at a time.  The structural screen reads each whole set.
+    The numeric and stability verdicts come from the connected components
+    of the coupling graph among a set's members (the ``Gint`` blocks,
+    either direction), labelled once per stack; the merged matrices are
+    block-diagonal over these components (module docstring).
+
+    - Stability: each distinct component is judged once per call, on its
+      principal submatrix and against its own margin 1e-9 max(1, |A_c|_1),
+      and a set is stable when all its components are.  Only an eigenvalue
+      whose real part lies between a component's margin and the (never
+      smaller) margin of the whole set could be judged differently from a
+      whole-set :func:`is_hurwitz`.
+    - Observability: for a set of d states, each distinct component gets
+      the largest and smallest singular values of its observability matrix
+      with d power blocks, once per cardinality and one stacked SVD per
+      component size.  The set is observable when the smallest minimum
+      exceeds ``tol`` times the largest maximum, which is the whole-set
+      :func:`kalman_rank` count up to rounding.
 
     Without ``j_max`` every admissible candidate is acceptable; a warning is
     logged because an unbounded cost cap accepts arbitrarily poor sets.
@@ -480,23 +492,49 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
                      if i != faulty_id and i not in set(excluded_ids))
     coupled = lin.Gint.any(axis=(2, 3))
     coupled |= coupled.T
-    component_memo: dict = {}
+    hurwitz_memo: dict = {}
+
+    def hurwitz(ids):
+        idx = lin.state_index()[ids].reshape(len(ids), -1)
+        return is_hurwitz(lin.full_matrix()[idx[:, :, None],
+                                            idx[:, None, :]]).tolist()
+
     reports: list[CostReport] = []
     for card in range(1, len(helpers) + 1):
         admissible = []
         sets = [(faulty_id,) + combo
                 for combo in itertools.combinations(helpers, card)]
         m = card + 1
-        per_set = 8 * (N_STATES * m) ** 2 * Csub.shape[0] * m
-        step = max(1, SCREEN_STACK_BYTES // per_set)
+        extremes_memo: dict = {}
+
+        def extremes(ids):
+            A_c, _, C_c, _ = _gather(lin, ids, f, rows)
+            s = obsv_singular_values(A_c, C_c, N_STATES * m)
+            return s[:, [0, -1]].tolist()
+
+        step = max(1, SCREEN_STACK_BYTES // (8 * (N_STATES * m) ** 2))
         for start in range(0, len(sets), step):
             chunk = sets[start:start + step]
-            # The faulty member is the first block of every set.
             sub = np.subtract(chunk, 1)
-            A, B, C, C_healthy = _gather(lin, sub, 0, rows)
-            verdicts = _screen(A, C, _stable_by_component(
-                lin, sub, coupled, component_memo), tol)
-            verdicts = zip(*(v.tolist() for v in verdicts))
+            A, B, C, C_healthy = _gather(lin, sub, f, rows)
+            comps, where = _components(coupled, sub)
+            stable = _by_component(comps, hurwitz_memo,
+                                   hurwitz)[where].all(axis=1)
+            structural = structurally_observable(ZeroPattern(A=A != 0,
+                                                             C=C != 0))
+            observable = np.zeros(len(chunk), dtype=bool)
+            if structural.any():
+                where_s = where[structural]
+                needed = np.zeros(len(comps), dtype=bool)
+                needed[where_s] = True
+                ext = np.zeros((len(comps), 2))
+                ext[needed] = _by_component(comps[needed], extremes_memo,
+                                            extremes)
+                # Smallest component minimum against the largest maximum.
+                observable[structural] = (ext[where_s, 1].min(axis=1)
+                                          > tol * ext[where_s, 0].max(axis=1))
+            verdicts = zip(structural.tolist(), observable.tolist(),
+                           stable.tolist())
             for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
                 rep, observer = _report(ids, *verdict, A[k], B[k], C[k],
                                         C_healthy[k], alpha, xi, tol)

@@ -3,15 +3,19 @@
 ``rftc_select`` gathers each cardinality's candidates out of the cached
 full-plant matrices as one stack and runs every screen once on it: the
 structural screen walks whole frontiers, ``is_hurwitz`` and the Kalman test
-take stacks, ``is_hurwitz`` judges each coupled component of the sets once,
-and ``obsv_matrix`` fills a preallocated array.  Each must give exactly
-what the block-copy, depth-first, ``vstack``, whole-set and
-one-matrix-at-a-time versions give, down to the last bit of every reported
-cost.
+take stacks, the stability and Kalman verdicts are read off each coupled
+component of the sets once, and ``obsv_matrix`` fills a preallocated array.
+Each must give exactly what the block-copy, depth-first, ``vstack``,
+whole-set and one-matrix-at-a-time versions give, down to the last bit of
+every reported cost; the per-component Kalman verdict may differ from the
+whole set's only where rounding decides it.
 """
 
+import functools
+
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import _oracles as orc
 import gridftc.observability
@@ -22,6 +26,7 @@ from gridftc.observability import (
     is_hurwitz,
     kalman_rank,
     obsv_matrix,
+    obsv_singular_values,
     structurally_observable,
 )
 from gridftc.power_model import (
@@ -168,6 +173,54 @@ def test_select_plans_match_oracle_search(data, lin, j_max):
         assert len(got["candidates"]) == 2 ** (lin.n - 1 - len(excluded)) - 1
 
 
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@SEARCH
+@given(data=st.data(), lin=st.one_of(
+    st.builds(coupled_plant, st.integers(3, 8), SEEDS,
+              st.sampled_from([0.25, 0.5, 1.0])),
+    st.builds(ring_coupled_plant, st.integers(3, 9), SEEDS),
+    st.builds(directed_plant, st.integers(3, 8), SEEDS,
+              st.sampled_from([0.15, 0.3, 0.6]), st.just(2))))
+def test_component_kalman_verdicts_match_whole_sets(data, lin):
+    """Every numeric verdict of a worst-case search is the stacked
+    whole-set ``kalman_rank`` verdict on the same cardinality, except where
+    the whole set's s_min / (tol s_max) lies within 1e-6 of 1."""
+    tol = 1e-9
+    faulty = data.draw(st.integers(1, lin.n))
+    p = lin.Csub.shape[1]
+    rows = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, p - 1), max_size=p, unique=True)))
+    reports = rftc_select(faulty, lin, 100.0, 50.0, j_max=0.0,
+                          faulty_rows=rows, tol=tol).candidates
+    assert len(reports) == 2 ** (lin.n - 1) - 1
+    by_card: dict = {}
+    for rep in reports:
+        if rep.reason != "structurally unobservable":
+            by_card.setdefault(len(rep.candidate), []).append(rep)
+    for level in by_card.values():
+        augs = [augment(rep.candidate, lin, faulty, faulty_rows=rows)
+                for rep in level]
+        A = np.array([aug.A for aug in augs])
+        C = np.array([aug.C for aug in augs])
+        _, whole = kalman_rank(A, C, tol)
+        s = obsv_singular_values(A, C)
+        ratio = s[:, -1] / (tol * s[:, 0])
+        for rep, ok, r in zip(level, whole, ratio):
+            if (rep.reason != "numerically unobservable") != ok:
+                assert abs(r - 1.0) <= 1e-6, (rep.candidate, r)
+                event(f"knife-edge set {rep.candidate}: ratio {r!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _ring12_oracle_plan():
+    """The whole-set oracle's worst-case plan for machine 4 of the 12-machine
+    ring."""
+    return orc.select_loops(4, ring_coupled_plant(12, 5), 100.0, 50.0,
+                            gridftc.observability, j_max=0.0)
+
+
 def test_worst_case_search_judges_each_ring_arc_once(monkeypatch):
     """A ring set splits into arcs of the ring, so a worst-case search hands
     the stability screen at most one matrix per distinct arc, n (n - 1) + 1
@@ -185,8 +238,28 @@ def test_worst_case_search_judges_each_ring_arc_once(monkeypatch):
     got = rftc_select(4, lin, 100.0, 50.0, j_max=0.0).to_dict()
     assert len(got["candidates"]) == 2 ** (n - 1) - 1
     assert sum(judged) <= n * (n - 1) + 1
-    assert got == orc.select_loops(4, lin, 100.0, 50.0,
-                                   gridftc.observability, j_max=0.0)
+    assert got == _ring12_oracle_plan()
+
+
+def test_worst_case_search_takes_one_svd_per_ring_arc(monkeypatch):
+    """The numeric screen hands the singular-value function one matrix per
+    distinct arc of each cardinality's structurally observable sets, 462 on
+    this ring, where the whole-set Kalman test takes all 1,536 of those
+    sets; the plan is still the whole-set oracle's."""
+    lin = ring_coupled_plant(12, 5)
+    seen = []
+
+    def counting(A, C, blocks=None):
+        seen.append(len(A))
+        return obsv_singular_values(A, C, blocks)
+
+    monkeypatch.setattr(gridftc.reconfig, "obsv_singular_values", counting)
+    got = rftc_select(4, lin, 100.0, 50.0, j_max=0.0).to_dict()
+    structural = sum(rep["reason"] != "structurally unobservable"
+                     for rep in got["candidates"])
+    assert structural == 1536
+    assert sum(seen) < structural
+    assert got == _ring12_oracle_plan()
 
 
 @SEARCH
