@@ -215,6 +215,22 @@ def _read_trajectory(path):
     return numeric, data
 
 
+def _errnorm(subs: list, header: list, data: np.ndarray) -> np.ndarray:
+    """Per-row max |x - xhat| over the state columns of ``subs``.
+
+    A running maximum over the columns, so the temporaries are two columns
+    long rather than one per state column.
+    """
+    acc = np.zeros(len(data))
+    err = np.empty(len(data))
+    for s in subs:
+        for j in (1, 2, 3):
+            np.subtract(data[:, header.index(f"{s}_x{j}")],
+                        data[:, header.index(f"{s}_xhat{j}")], out=err)
+            np.maximum(acc, np.abs(err, out=err), out=acc)
+    return acc
+
+
 def _series(selector: str, header: list, data: np.ndarray) -> np.ndarray:
     """One derived or raw column as a vector."""
     if selector in header:
@@ -222,17 +238,9 @@ def _series(selector: str, header: list, data: np.ndarray) -> np.ndarray:
     # error-norm selectors are recomputed from the raw state columns
     subs = sorted({h.split("_")[0] for h in header if h.startswith("sub")})
     if selector == "errnorm":
-        cols = []
-        for s in subs:
-            for j in (1, 2, 3):
-                cols.append(data[:, header.index(f"{s}_x{j}")]
-                            - data[:, header.index(f"{s}_xhat{j}")])
-        return np.max(np.abs(np.stack(cols)), axis=0)
+        return _errnorm(subs, header, data)
     if selector.endswith("_errnorm") and selector[:-8] in subs:
-        s = selector[:-8]
-        cols = [data[:, header.index(f"{s}_x{j}")]
-                - data[:, header.index(f"{s}_xhat{j}")] for j in (1, 2, 3)]
-        return np.max(np.abs(np.stack(cols)), axis=0)
+        return _errnorm([selector[:-8]], header, data)
     available = header[1:] + ["errnorm"] + [f"{s}_errnorm" for s in subs]
     raise _CliError(
         f"unknown selector '{selector}'; available: {', '.join(available)}")

@@ -118,6 +118,9 @@ DEFAULT_OUTPUTS = {"trajectory": "trajectory.csv", "events": "events.json",
                    "report": "report.json"}
 # Rows between two divergence checks; event steps also end a checked segment.
 DIVERGENCE_CHECK_STEPS = 1000
+# Rows per block in the passes made over the dense log after a run, so that
+# no pass holds more than one block-sized temporary next to the log.
+ROW_BLOCK = 4096
 
 
 class ScenarioError(ValueError):
@@ -871,6 +874,20 @@ def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
     log.diag_stride = stride
 
 
+def _row_peaks(a: np.ndarray) -> np.ndarray:
+    """Per-row max |a| over the trailing axes, read in ``ROW_BLOCK`` rows.
+
+    Equal to ``np.max(np.abs(a), axis=(1, ...))``, NaN rows included, but
+    the |a| temporary is one block rather than a copy of ``a``.
+    """
+    out = np.empty(len(a))
+    axes = tuple(range(1, a.ndim))
+    for r0 in range(0, len(a), ROW_BLOCK):
+        np.max(np.abs(a[r0:r0 + ROW_BLOCK]), axis=axes,
+               out=out[r0:r0 + ROW_BLOCK])
+    return out
+
+
 def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
     """Per-fault recovery verdicts from the dense state log.
 
@@ -881,7 +898,7 @@ def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
     and a fault diagnosed as unrecoverable reads "unrecoverable".
     """
     out = []
-    dev = np.max(np.abs(log.x), axis=(1, 2))
+    dev = _row_peaks(log.x)
     t = log.t
     fault_times = [f.t_fault for f in scn.faults]
     for i, f in enumerate(scn.faults):
@@ -951,20 +968,21 @@ def write_trajectory_csv(log: TrajectoryLog, path) -> None:
         events.setdefault(m.step, []).append(m.label)
     line = ",".join(["%.12g"] * (1 + 8 * n)) + ",%s\n"
     block = 1024    # rows formatted from one scratch array
+    scratch = np.empty((min(rows, block), 1 + 8 * n))
+    per_sub = scratch[:, 1:].reshape(-1, n, 8)     # a view into scratch
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for r0 in range(0, rows, block):
             r1 = min(rows, r0 + block)
-            vals = np.empty((r1 - r0, 1 + 8 * n))
-            vals[:, 0] = log.t[r0:r1]
-            per_sub = vals[:, 1:].reshape(-1, n, 8)
-            per_sub[:, :, 0:3] = log.x[r0:r1]
-            per_sub[:, :, 3:6] = log.xhat[r0:r1]
-            per_sub[:, :, 6] = log.y_used[r0:r1]
-            per_sub[:, :, 7] = log.L[r0:r1]
+            k = r1 - r0
+            scratch[:k, 0] = log.t[r0:r1]
+            per_sub[:k, :, 0:3] = log.x[r0:r1]
+            per_sub[:k, :, 3:6] = log.xhat[r0:r1]
+            per_sub[:k, :, 6] = log.y_used[r0:r1]
+            per_sub[:k, :, 7] = log.L[r0:r1]
             fh.write("".join(
                 line % (*row, ";".join(events.get(r, ())))
-                for r, row in enumerate(vals.tolist(), r0)))
+                for r, row in enumerate(scratch[:k].tolist(), r0)))
 
 
 def write_events_json(log: TrajectoryLog, path) -> None:

@@ -613,3 +613,66 @@ def run_scenario_loops(scn, seed=0):
             k4 = _rhs_rows(x + dt * k3, u_abs, rhs_k)
             x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return out
+
+
+def recovery_summary_full(scn, log):
+    """Per-fault recovery rows with the deviation taken over the whole log.
+
+    The per-row deviation is one ``max |x|`` over the full (rows, n, 3)
+    state array at once; everything else follows the recovery verdict rule
+    step by step.
+    """
+    dev = np.max(np.abs(log.x), axis=(1, 2))
+    t = log.t
+    fault_times = [f.t_fault for f in scn.faults]
+    out = []
+    for i, f in enumerate(scn.faults):
+        t_start = f.t_fault
+        t_end = fault_times[i + 1] if i + 1 < len(fault_times) else t[-1]
+        window = dev[(t >= t_start) & (t <= t_end)]
+        peak = float(window.max()) if window.size else 0.0
+        tail_start = max(t_start, t_end - scn.settling_window)
+        tail = dev[(t >= tail_start) & (t <= t_end)]
+        tail_max = float(tail.max()) if tail.size else 0.0
+        verdict = "recovered" if (peak > 0 and tail_max < 0.05 * peak) \
+            else "not-recovered"
+        if log.diverged and t_end >= t[-1]:
+            verdict = "diverged"
+        plan_mode = None
+        for tp, plan in log.plans:
+            if plan.faulty_id == f.subsystem and tp >= t_start \
+                    and (i + 1 >= len(fault_times) or tp < fault_times[i + 1]):
+                plan_mode = plan.mode
+                if plan.mode == "unrecoverable":
+                    verdict = "unrecoverable"
+        out.append({
+            "subsystem": f.subsystem, "kind": f.kind, "t_fault": f.t_fault,
+            "peak": peak, "tail_max": tail_max, "verdict": verdict,
+            "plan_mode": plan_mode,
+        })
+    return out
+
+
+def trajectory_csv_rows(log):
+    """The data lines of the trajectory CSV, formatted one row at a time."""
+    rows, n = log.y_used.shape
+    labels = {}
+    for m in log.events:
+        labels.setdefault(m.step, []).append(m.label)
+    lines = []
+    for r in range(rows):
+        vals = [log.t[r]]
+        for i in range(n):
+            vals += list(log.x[r, i]) + list(log.xhat[r, i])
+            vals += [log.y_used[r, i], log.L[r, i]]
+        lines.append(",".join("%.12g" % float(v) for v in vals) + ","
+                     + ";".join(labels.get(r, ())))
+    return lines
+
+
+def errnorm_stacked(subs, header, data):
+    """Per-row max |x - xhat| from one stacked array of the state columns."""
+    cols = [data[:, header.index(f"{s}_x{j}")]
+            - data[:, header.index(f"{s}_xhat{j}")]
+            for s in subs for j in (1, 2, 3)]
+    return np.max(np.abs(np.stack(cols)), axis=0)

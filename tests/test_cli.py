@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles as orc
 import gridftc
-from gridftc.cli import main
+from gridftc.cli import _series, main
 from gridftc.desk_models import data_path
 from test_sim_engine import island_plant
 
@@ -306,6 +307,25 @@ def test_plotdata_extracts_series(short_run, tmp_path):
              for i in range(2) for j in range(3)]
     expect = np.max(np.stack(diffs), axis=0)[::7]
     assert np.allclose(err[:, 1], expect, rtol=1e-9, atol=1e-12)
+
+
+def test_errnorm_matches_stacked_oracle():
+    header = ["t"]
+    for i in (1, 2):
+        header += [f"sub{i}_x{j}" for j in (1, 2, 3)]
+        header += [f"sub{i}_xhat{j}" for j in (1, 2, 3)]
+        header += [f"sub{i}_y", f"sub{i}_L"]
+    data = np.random.default_rng(13).normal(size=(40, len(header)))
+    data[3, 2] = np.nan
+    data[5, 12] = np.inf
+    data[6, 1:] = -0.0
+    data[7, 1:4] = data[7, 4:7]          # zero error on sub1 only
+    for selector, subs in (("errnorm", ["sub1", "sub2"]),
+                           ("sub1_errnorm", ["sub1"]),
+                           ("sub2_errnorm", ["sub2"])):
+        got = _series(selector, header, data)
+        want = orc.errnorm_stacked(subs, header, data)
+        assert got.tobytes() == want.tobytes(), selector
 
 
 def test_plotdata_unknown_selector(short_run, tmp_path, capsys):

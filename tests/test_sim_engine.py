@@ -1,11 +1,14 @@
 """Scenario plumbing, the shared-grid runner, recovery verdicts, writers."""
 
 import json
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import _oracles as orc
 from gridftc.power_model import (
     LinearizedPlant,
     NetworkModel,
@@ -15,8 +18,10 @@ from gridftc.power_model import (
 from gridftc.desk_models import data_path
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
+    ROW_BLOCK,
     ControllerConfig,
     ObserverConfig,
+    EventMarker,
     Scenario,
     ScenarioError,
     TrajectoryLog,
@@ -404,6 +409,114 @@ def test_isolated_machine_is_unrecoverable():
     assert recovery_summary(scn, log)[0]["verdict"] == "unrecoverable"
 
 
+def blocked_log(rows, edit=None, diverged=False, plans=()):
+    """A seeded two-machine log on a unit grid (t equals the row index)."""
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, 2, 3)) \
+        * np.exp(-8.0 * np.arange(rows) / rows)[:, None, None]
+    if edit is not None:
+        edit(x)
+    zeros = np.zeros((rows, 2))
+    return TrajectoryLog(scenario_name="blocked", t=np.arange(rows) * 1.0,
+                         x=x, xhat=np.zeros_like(x), y_meas=zeros,
+                         y_used=zeros, L=np.ones((rows, 2)),
+                         plans=list(plans), diverged=diverged)
+
+
+def faults_at(*times, settling=100.0):
+    return types.SimpleNamespace(
+        faults=[FaultEvent(t_fault=float(t), subsystem=1 + k % 2,
+                           kind="total-loss", fdi_delay=0.5)
+                for k, t in enumerate(times)],
+        settling_window=settling)
+
+
+def _nonfinite(x):
+    x[7, 1, 2] = np.nan                     # inside the first window
+    x[ROW_BLOCK, 0, 0] = np.inf             # first row of a block
+    x[ROW_BLOCK - 1, 1, 1] = -np.inf        # last row of the block before
+    x[2 * ROW_BLOCK + 30, 0, 1] = np.nan    # only in the last window's tail
+
+
+def _zero_window(x):
+    x[ROW_BLOCK - 50:2 * ROW_BLOCK + 50] = -0.0    # a window across blocks
+
+
+B = ROW_BLOCK
+RECOVERY_CASES = {
+    # windows that start on, end on, and cross block edges
+    "block-edges": (lambda: blocked_log(3 * B + 17),
+                    faults_at(5, B - 1, B, 2 * B - 1, 2 * B + 0.5, 3 * B)),
+    "nan-and-inf": (lambda: blocked_log(2 * B + 40, _nonfinite),
+                    faults_at(3, B - 1, 2 * B + 1, settling=20.0)),
+    "all-zero-window": (lambda: blocked_log(2 * B + 100, _zero_window),
+                        faults_at(10, B - 40, 2 * B + 40)),
+    # equal fault times and a fault at the last row give one-row windows
+    "one-row-windows": (lambda: blocked_log(B + 9),
+                        faults_at(10, 10, 300, B + 8)),
+    "one-row-log": (lambda: blocked_log(1), faults_at(0, 0)),
+    "whole-blocks": (lambda: blocked_log(2 * B), faults_at(0, B)),
+    # cut short by a divergence verdict: the last window runs to the cut and
+    # a fault after the cut has an empty window
+    "diverged": (lambda: blocked_log(
+        2 * B + 5, diverged=True,
+        plans=[(B + 10.0, ReconfigPlan(mode="unrecoverable", faulty_id=2))]),
+        faults_at(B // 2, B + 3, 2 * B + 2, 3 * B)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOVERY_CASES))
+def test_recovery_summary_matches_full_array_oracle(case):
+    make_log, scn = RECOVERY_CASES[case]
+    log = make_log()
+    got = recovery_summary(scn, log)
+    # json text, so -0.0 against 0.0 and NaN against a number both differ
+    assert json.dumps(got) == json.dumps(orc.recovery_summary_full(scn, log))
+    assert len(got) == len(scn.faults)
+
+
+def test_recovery_summary_oracle_cases_reach_every_branch():
+    verdicts, peaks = set(), []
+    for make_log, scn in RECOVERY_CASES.values():
+        rows = recovery_summary(scn, make_log())
+        verdicts |= {r["verdict"] for r in rows}
+        peaks += [r["peak"] for r in rows]
+    assert verdicts == {"recovered", "not-recovered", "diverged",
+                        "unrecoverable"}
+    assert any(np.isnan(p) for p in peaks) and np.inf in peaks
+    assert 0.0 in peaks
+
+
+def test_build_report_memory_stays_within_blocks(desk5):
+    """The passes after a run hold block-sized temporaries, not a second
+    copy of the dense state log."""
+    rows, n = 200_001, 5
+    t = np.arange(rows) * 1e-3
+    x = np.empty((rows, n, 3))
+    x[...] = np.exp(-t)[:, None, None]
+    zeros = np.zeros((rows, n))
+    rng = np.random.default_rng(5)
+    log = TrajectoryLog(scenario_name="memory", t=t, x=x, xhat=x,
+                        y_meas=zeros, y_used=zeros, L=zeros,
+                        interactions=rng.normal(size=(2000, n, 3)),
+                        chain_true=rng.normal(size=(2000, n, 3)),
+                        diag_stride=100)
+    scn = Scenario(plant=desk5, horizon=200.0, dt=1e-3, name="memory",
+                   faults=(FaultEvent(t_fault=100.0, subsystem=5,
+                                      kind="total-loss", fdi_delay=1.0),
+                           FaultEvent(t_fault=150.0, subsystem=4,
+                                      kind="total-loss", fdi_delay=1.0)))
+    tracemalloc.start()
+    try:
+        report = build_report(scn, log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r["verdict"] for r in report.recovery] == ["recovered"] * 2
+    limit = x.nbytes / 4
+    assert peak < limit, f"traced peak {peak} B, limit {limit:.0f} B"
+
+
 def diverging_scenario(plant, gains):
     """Five seconds of desk2 under feedback gains that do not hold it, with
     a gain fault that the divergence verdict comes before."""
@@ -498,6 +611,23 @@ def test_trajectory_csv_layout(two_fault_log, tmp_path):
                       usecols=range(41), max_rows=100)
     assert np.allclose(data[:, 0], log.t[:100])
     assert np.allclose(data[:, 1], log.x[:100, 0, 0])
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 2500])
+def test_trajectory_csv_rows_match_row_oracle(rows, tmp_path):
+    # the scratch array is reused: a short last block must not carry rows
+    # over from the block before it
+    log = blocked_log(rows)
+    log.xhat = -0.5 * log.x
+    log.y_used = log.x[:, :, 0] + 1.0
+    log.L = np.full((rows, 2), 3.25)
+    log.events = [EventMarker(t=float(r), step=r, kind="fault", subsystem=1,
+                              label=f"mark{r}") for r in (0, rows - 1)]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(log, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == rows + 1
+    assert lines[1:] == orc.trajectory_csv_rows(log)
 
 
 def test_event_and_report_json(two_fault_log, tmp_path):
