@@ -123,20 +123,30 @@ def _fault_from_args(args, n: int) -> FaultEvent:
 
 
 def cmd_run(args) -> int:
+    """Run streamed: each checked segment of rows is appended to the
+    trajectory CSV as the run goes.  ``wall_time_s`` is the simulation time,
+    the run's time less the time spent in the trajectory writer."""
     scn = _load_scenario(args.scenario)
     out = _out_dir(args)
-    t0 = time.perf_counter()
-    log = run_scenario(scn, seed=args.seed)
-    wall = time.perf_counter() - t0
-
     paths = {key: out / name for key, name in scn.outputs.items()}
-    write_trajectory_csv(log, paths["trajectory"])
+    writer_s = 0.0
+
+    def write_segment(segment) -> None:
+        nonlocal writer_s
+        t = time.perf_counter()
+        write_trajectory_csv(segment, paths["trajectory"])
+        writer_s += time.perf_counter() - t
+
+    t0 = time.perf_counter()
+    log = run_scenario(scn, seed=args.seed, consumer=write_segment)
+    wall = time.perf_counter() - t0 - writer_s
+
     write_events_json(log, paths["events"])
     report = build_report(scn, log, wall_time_s=wall,
                           outputs={k: str(p) for k, p in paths.items()})
     write_report_json(report, paths["report"])
 
-    steps = len(log.t) - 1
+    steps = len(log.peaks) - 1
     print(f"scenario {scn.name}: {steps} steps in {wall:.1f} s "
           f"({1e6 * wall / max(steps, 1):.1f} us/step)")
     for ev in log.events:
@@ -198,21 +208,27 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_trajectory(path):
-    """Header list and the numeric block of a trajectory CSV.
-
-    The trailing event column is text and is not loaded.
+def _read_trajectory(path, selectors):
+    """The columns that ``selectors`` read, ``t`` first, as a header list
+    and a numeric block; an unknown selector fails before any data is read.
     """
     if not Path(path).exists():
         raise _CliError(f"trajectory file not found: {path}")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     numeric = header[:-1] if header and header[-1] == "event" else header
-    data = np.loadtxt(path, delimiter=",", skiprows=1,
-                      usecols=range(len(numeric)))
-    if data.ndim == 1:
-        data = data[None, :]
-    return numeric, data
+    need = {"t"}
+    for selector in selectors:
+        if selector in numeric:
+            need.add(selector)
+        else:
+            need.update(f"{s}_{q}{j}"
+                        for s in _error_subsystems(selector, numeric)
+                        for q in ("x", "xhat") for j in (1, 2, 3))
+    cols = [c for c in numeric if c in need]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                      usecols=[numeric.index(c) for c in cols])
+    return cols, data
 
 
 def _errnorm(subs: list, header: list, data: np.ndarray) -> np.ndarray:
@@ -231,30 +247,35 @@ def _errnorm(subs: list, header: list, data: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _series(selector: str, header: list, data: np.ndarray) -> np.ndarray:
-    """One derived or raw column as a vector."""
-    if selector in header:
-        return data[:, header.index(selector)]
-    # error-norm selectors are recomputed from the raw state columns
+def _error_subsystems(selector: str, header: list) -> list:
+    """The subsystems whose estimate error an error-norm selector reads."""
     subs = sorted({h.split("_")[0] for h in header if h.startswith("sub")})
     if selector == "errnorm":
-        return _errnorm(subs, header, data)
+        return subs
     if selector.endswith("_errnorm") and selector[:-8] in subs:
-        return _errnorm([selector[:-8]], header, data)
+        return [selector[:-8]]
     available = header[1:] + ["errnorm"] + [f"{s}_errnorm" for s in subs]
     raise _CliError(
         f"unknown selector '{selector}'; available: {', '.join(available)}")
 
 
+def _series(selector: str, header: list, data: np.ndarray) -> np.ndarray:
+    """One derived or raw column as a vector."""
+    if selector in header:
+        return data[:, header.index(selector)]
+    # error-norm selectors are recomputed from the raw state columns
+    return _errnorm(_error_subsystems(selector, header), header, data)
+
+
 def cmd_plotdata(args) -> int:
-    header, data = _read_trajectory(args.trajectory)
     if args.stride < 1:
         raise _CliError(f"stride must be at least 1, got {args.stride}")
+    header, data = _read_trajectory(args.trajectory, args.selector)
+    data = data[::args.stride]
     out = _out_dir(args)
     t = data[:, 0]
     for selector in args.selector:
-        values = _series(selector, header, data)
-        series = np.column_stack([t, values])[::args.stride]
+        series = np.column_stack([t, _series(selector, header, data)])
         path = out / f"{selector}.dat"
         np.savetxt(path, series, fmt="%.12g")
         print(f"{selector}: {series.shape[0]} rows -> {path}")

@@ -74,10 +74,21 @@ the rows just logged are checked: every state and estimate finite and every
 angle deviation at most pi in magnitude.  The first row that fails gets a
 ``diverged`` marker, the run ends with the log cut after that row and the
 log and report carry ``diverged``; ``gridftc run`` then exits with code 3.
+
+Streamed runs
+-------------
+With a ``consumer``, :func:`run_scenario` keeps one ``DIVERGENCE_CHECK_STEPS``
+block of rows instead of the dense log.  Each checked segment goes to the
+consumer as a :class:`TrajectoryLog` of its rows and to two running
+summaries, each row's max |x| and the rows sampled for the interaction
+diagnostic; then the block's rows are reused.  The report is built from
+those summaries with the same functions as from a dense log, so
+``gridftc run`` holds one block plus 8 bytes per row.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,7 +128,11 @@ DEFAULT_SETTLING_WINDOW = 10.0
 DEFAULT_OUTPUTS = {"trajectory": "trajectory.csv", "events": "events.json",
                    "report": "report.json"}
 # Rows between two divergence checks; event steps also end a checked segment.
+# A streamed run keeps one block of this many rows.
 DIVERGENCE_CHECK_STEPS = 1000
+# Most rows the interaction diagnostic samples, at a stride fixed by the
+# planned row count.
+DIAG_SAMPLES = 2000
 # Rows per block in the passes made over the dense log after a run, so that
 # no pass holds more than one block-sized temporary next to the log.
 ROW_BLOCK = 4096
@@ -313,7 +328,9 @@ class Scenario:
           true.
         * ``name`` -- default ``"scenario"``.
         * ``outputs`` -- file names by key (``trajectory``, ``events``,
-          ``report``), each defaulting to ``DEFAULT_OUTPUTS``.
+          ``report``), each defaulting to ``DEFAULT_OUTPUTS``; a name must
+          be a bare file name (no directory part) and the three must
+          differ.
         """
         known = {"name", "plant", "horizon", "dt", "faults", "observer",
                  "controller", "weights", "j_max", "noise_amplitude",
@@ -360,9 +377,19 @@ class Scenario:
                 if name not in allowed:
                     raise ScenarioError(f"{key}.{name}",
                                         f"unknown {key} field")
-        for key, name in sub["outputs"].items():
-            if not isinstance(name, str) or not name:
-                raise ScenarioError(f"outputs.{key}", "must be a file name")
+        outputs = {**DEFAULT_OUTPUTS, **sub["outputs"]}
+        owner: dict = {}    # file name -> the first key that writes it
+        for key, name in outputs.items():
+            # a bare name, so every file lands in the output directory
+            if (not isinstance(name, str) or Path(name).name != name
+                    or name in ("", ".", "..")):
+                raise ScenarioError(f"outputs.{key}",
+                                    f"must be a bare file name, got {name!r}")
+            if name in owner:
+                raise ScenarioError(f"outputs.{key}",
+                                    f"{name!r} is also the {owner[name]} "
+                                    "file")
+            owner[name] = key
         if not isinstance(d.get("reconfigure", True), bool):
             raise ScenarioError("reconfigure", "must be true or false")
         observer = dict(sub["observer"])
@@ -388,7 +415,7 @@ class Scenario:
             reconfigure=d.get("reconfigure", True),
             name=str(d.get("name", "scenario")),
             plant_ref=plant_ref,
-            outputs={**DEFAULT_OUTPUTS, **sub["outputs"]},
+            outputs=outputs,
         )
         scn.validate()
         return scn
@@ -454,15 +481,20 @@ class TrajectoryLog:
     ``interactions`` and ``chain_true`` are strided samples supporting the
     interaction-bound diagnostic.  ``diverged`` is set when the divergence
     check ended the run early (the log then ends at the row that tripped it).
+
+    A streamed run hands each checked segment to its consumer as a log of
+    that segment's rows, the first of them row ``row0`` of the run, with the
+    events so far.  The log the streamed run returns holds no rows (``t``
+    and the state arrays are None); ``peaks`` holds each row's max |x|.
     """
 
     scenario_name: str
-    t: np.ndarray
-    x: np.ndarray
-    xhat: np.ndarray
-    y_meas: np.ndarray
-    y_used: np.ndarray
-    L: np.ndarray
+    t: Optional[np.ndarray]
+    x: Optional[np.ndarray]
+    xhat: Optional[np.ndarray]
+    y_meas: Optional[np.ndarray]
+    y_used: Optional[np.ndarray]
+    L: Optional[np.ndarray]
     events: list = field(default_factory=list)
     plans: list = field(default_factory=list)        # (t, ReconfigPlan)
     interactions: Optional[np.ndarray] = None
@@ -470,6 +502,8 @@ class TrajectoryLog:
     diag_stride: int = 1
     unrecoverable: bool = False
     diverged: bool = False
+    row0: int = 0
+    peaks: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -581,8 +615,14 @@ def _timeline(scn: Scenario, n_steps: int) -> list:
 
 
 class _Engine:
-    """One run: its constants, its dense log and the small state that the
-    step kernel :meth:`advance` carries from row to row.
+    """One run: its constants, its log and the small state that the step
+    kernel :meth:`advance` carries from row to row.
+
+    The log arrays hold every row of the run, or for a ``streamed`` run one
+    ``DIVERGENCE_CHECK_STEPS`` block: row k sits at ``k - base``, where
+    ``base`` is 0, or k rounded down to a block edge when streamed.  A
+    streamed run also keeps ``peaks``, each row's max |x|, and ``samples``,
+    the rows on the interaction diagnostic's stride.
 
     ``x`` (plant deviations) and ``Z`` (nominal chain states) are
     state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
@@ -593,7 +633,7 @@ class _Engine:
     observer is switched off and ``merged`` is the augmented-set observer.
     """
 
-    def __init__(self, scn: Scenario, seed: int):
+    def __init__(self, scn: Scenario, seed: int, streamed: bool = False):
         plant = scn.plant
         n = self.n = plant.n
         self.scn = scn
@@ -632,16 +672,27 @@ class _Engine:
         self.frozen = np.zeros(n, dtype=bool)
         self.merged: Optional[_MergedObserver] = None
 
-        rows = self.n_steps + 1
-        self.log_x = np.empty((rows, n, N_STATES))
-        self.log_xhat = np.empty((rows, n, N_STATES))
-        self.log_ymeas = np.empty((rows, n))
-        self.log_yused = np.empty((rows, n))
-        self.log_L = np.empty((rows, n))
+        rows = held = self.n_steps + 1
+        self.streamed = streamed
+        self.stride = _diag_stride(rows)
+        if streamed:
+            self.peaks = np.empty(rows)
+            self.samples = np.empty((-(-rows // self.stride), n, N_STATES))
+            held = min(rows, DIVERGENCE_CHECK_STEPS)
+        self.log_x = np.empty((held, n, N_STATES))
+        self.log_xhat = np.empty((held, n, N_STATES))
+        self.log_ymeas = np.empty((held, n))
+        self.log_yused = np.empty((held, n))
+        self.log_L = np.empty((held, n))
         self.events: list = []
         self.plans: list = []
         self.unrecoverable = False
         self.diverged = False
+
+    def base(self, k0: int) -> int:
+        """Index of row 0 of the log arrays holding row ``k0``: rows of one
+        checked segment never straddle a block edge."""
+        return k0 - k0 % DIVERGENCE_CHECK_STEPS if self.streamed else 0
 
     def advance(self, k0: int, k_end: int) -> None:
         """Log rows ``k0 .. k_end - 1`` and integrate from each of them to
@@ -671,8 +722,10 @@ class _Engine:
             fid = merged.idx[0]
         log_x, log_xhat, log_L = self.log_x, self.log_xhat, self.log_L
         log_ymeas, log_yused = self.log_ymeas, self.log_yused
+        base = self.base(k0)
 
         for k in range(k0, k_end):
+            r = k - base
             # --- measurement and estimates at the step start -----------------
             y_abs = y_ref + x[0]
             if noise_amp > 0.0:
@@ -685,14 +738,14 @@ class _Engine:
                 y_used = y_dev.copy()
                 y_used[vs_idx] = (y_abs[vs_idx] - vs_fy) / vs_f
             xhat = (Tn_inv @ Z.T[..., None])[..., 0]
-            log_L[k] = Lg
+            log_L[r] = Lg
             if merged is not None:
                 xhat[fid] = merged.estimates()[:N_STATES]
-                log_L[k, fid] = merged.L
-            log_x[k] = x.T
-            log_xhat[k] = xhat
-            log_ymeas[k] = y_dev
-            log_yused[k] = y_used
+                log_L[r, fid] = merged.L
+            log_x[r] = x.T
+            log_xhat[r] = xhat
+            log_ymeas[r] = y_dev
+            log_yused[r] = y_used
             if k == last:
                 break
 
@@ -748,9 +801,10 @@ class _Engine:
         ``diverged`` marker, the run's flag is set and its step is returned;
         None means every row passed.
         """
-        x = self.log_x[k0:k_end]
+        seg = self.segment(k0, k_end)
+        x = seg.x
         finite = (np.isfinite(x).all(axis=2)
-                  & np.isfinite(self.log_xhat[k0:k_end]).all(axis=2))
+                  & np.isfinite(seg.xhat).all(axis=2))
         ok = finite & (np.abs(x[..., 0]) <= math.pi)
         if ok.all():
             return None
@@ -805,18 +859,46 @@ class _Engine:
         else:
             self.unrecoverable = True
 
+    def segment(self, k0: int, k1: int) -> TrajectoryLog:
+        """Rows ``k0 .. k1 - 1`` as a log of views into the log arrays."""
+        rows = slice(k0 - self.base(k0), k1 - self.base(k0))
+        return TrajectoryLog(
+            scenario_name=self.scn.name, t=np.arange(k0, k1) * self.dt,
+            x=self.log_x[rows], xhat=self.log_xhat[rows],
+            y_meas=self.log_ymeas[rows], y_used=self.log_yused[rows],
+            L=self.log_L[rows], events=self.events, plans=self.plans,
+            unrecoverable=self.unrecoverable, diverged=self.diverged, row0=k0)
+
+    def emit(self, k0: int, k1: int, consumer) -> None:
+        """Add the checked rows ``k0 .. k1 - 1`` of a streamed run to the
+        row peaks and the diagnostic samples, then hand them to
+        ``consumer``."""
+        seg = self.segment(k0, k1)
+        _row_peaks(seg.x, out=self.peaks[k0:k1])
+        s = self.stride
+        j0, j1 = -(-k0 // s), -(-k1 // s)   # samples of rows k0 .. k1 - 1
+        self.samples[j0:j1] = seg.x[j0 * s - k0::s]
+        consumer(seg)
+
     def finish(self, rows: int) -> TrajectoryLog:
-        log = TrajectoryLog(
-            scenario_name=self.scn.name, t=np.arange(rows) * self.dt,
-            x=self.log_x[:rows], xhat=self.log_xhat[:rows],
-            y_meas=self.log_ymeas[:rows], y_used=self.log_yused[:rows],
-            L=self.log_L[:rows], events=self.events, plans=self.plans,
-            unrecoverable=self.unrecoverable, diverged=self.diverged)
-        _attach_interaction_diagnostics(log, self.lin, self.Tn)
+        """The run's log, cut after ``rows`` rows."""
+        if self.streamed:
+            log = TrajectoryLog(
+                scenario_name=self.scn.name, t=None, x=None, xhat=None,
+                y_meas=None, y_used=None, L=None, events=self.events,
+                plans=self.plans, unrecoverable=self.unrecoverable,
+                diverged=self.diverged, peaks=self.peaks[:rows])
+            sampled = self.samples[:-(-rows // self.stride)]
+        else:
+            log = self.segment(0, rows)
+            sampled = log.x[::self.stride]
+        _attach_interaction_diagnostics(log, self.lin, self.Tn, sampled,
+                                        self.stride)
         return log
 
 
-def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
+def run_scenario(scn: Scenario, seed: int = 0,
+                 consumer=None) -> TrajectoryLog:
     """Execute one scenario on the shared RK4 grid and return the dense log.
 
     The step-k row logs the state, estimates, consumed measurements and
@@ -828,9 +910,15 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     every ``DIVERGENCE_CHECK_STEPS`` steps.  After each segment the
     divergence check runs on the rows just logged; a trip ends the run with
     the ``diverged`` flag set and the log cut after the row that tripped.
+
+    With a ``consumer`` the run is streamed: each checked segment, cut after
+    a row that tripped, is passed to ``consumer(segment)`` as a
+    :class:`TrajectoryLog` of its rows (views that the next segment
+    overwrites), and the returned log holds no rows, only their ``peaks``
+    and the summaries that :func:`build_report` reads.
     """
     scn.validate()
-    eng = _Engine(scn, seed)
+    eng = _Engine(scn, seed, streamed=consumer is not None)
     rows = eng.n_steps + 1
     k = 0
     for step, phase, i in _timeline(scn, eng.n_steps) + [(rows, None, None)]:
@@ -842,7 +930,11 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
                 eng.advance(k, k_end)
             tripped = eng.check(k, k_end)
             if tripped is not None:
-                return eng.finish(tripped + 1)
+                k_end = tripped + 1
+            if consumer is not None:
+                eng.emit(k, k_end, consumer)
+            if tripped is not None:
+                return eng.finish(k_end)
             k = k_end
         if phase == 0:
             eng.activate(scn.faults[i], step)
@@ -851,19 +943,25 @@ def run_scenario(scn: Scenario, seed: int = 0) -> TrajectoryLog:
     return eng.finish(rows)
 
 
+def _diag_stride(rows: int, max_samples: int = DIAG_SAMPLES) -> int:
+    """Row stride of the interaction diagnostic for a run of ``rows`` rows
+    planned, so that it samples at most about ``max_samples`` rows."""
+    return max(1, rows // max_samples)
+
+
 def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
-                                    max_samples: int = 2000) -> None:
-    """Sample coupling terms along the trajectory for the bound diagnostic.
+                                    sampled: np.ndarray, stride: int) -> None:
+    """Coupling terms at the rows ``sampled`` (every ``stride``-th state
+    row) for the interaction-bound diagnostic.
 
     Interactions are evaluated through the linearized coupling blocks at the
-    logged states and mapped to chain coordinates, on a stride keeping at
-    most ``max_samples`` samples.  The blocks ``Gint[i, j]`` are laid out as
-    one (3n, 3n) coupling matrix and the chain transforms as one
-    block-diagonal matrix, so each output is one product over all samples.
+    logged states and mapped to chain coordinates.  The blocks
+    ``Gint[i, j]`` are laid out as one (3n, 3n) coupling matrix and the
+    chain transforms as one block-diagonal matrix, so each output is one
+    product over all samples.
     """
-    rows, n, _ = log.x.shape
-    stride = max(1, rows // max_samples)
-    X = log.x[::stride].reshape(-1, N_STATES * n)
+    n = sampled.shape[1]
+    X = sampled.reshape(-1, N_STATES * n)
     coupling = lin.Gint.transpose(0, 2, 1, 3).reshape(N_STATES * n,
                                                       N_STATES * n)
     T = np.zeros((n, N_STATES, n, N_STATES))
@@ -874,13 +972,15 @@ def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
     log.diag_stride = stride
 
 
-def _row_peaks(a: np.ndarray) -> np.ndarray:
+def _row_peaks(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-row max |a| over the trailing axes, read in ``ROW_BLOCK`` rows.
 
     Equal to ``np.max(np.abs(a), axis=(1, ...))``, NaN rows included, but
-    the |a| temporary is one block rather than a copy of ``a``.
+    the |a| temporary is one block rather than a copy of ``a``.  Written to
+    ``out`` when given.
     """
-    out = np.empty(len(a))
+    if out is None:
+        out = np.empty(len(a))
     axes = tuple(range(1, a.ndim))
     for r0 in range(0, len(a), ROW_BLOCK):
         np.max(np.abs(a[r0:r0 + ROW_BLOCK]), axis=axes,
@@ -888,31 +988,54 @@ def _row_peaks(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
-    """Per-fault recovery verdicts from the dense state log.
+class _GridTimes:
+    """The times ``k * dt`` of rows ``0 .. rows - 1`` as a sequence, equal
+    to ``np.arange(rows) * dt`` without the array."""
 
-    For each fault the window runs to the next fault (or the horizon); the
-    verdict is "recovered" when the deviation infinity-norm over the
-    window's final settling-window stretch stays below 5 % of the window
-    peak.  A window that a divergence verdict cut short reads "diverged",
-    and a fault diagnosed as unrecoverable reads "unrecoverable".
+    def __init__(self, rows: int, dt: float):
+        self.rows, self.dt = rows, dt
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, k: int) -> float:
+        return k * self.dt
+
+
+def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
+    """Per-fault recovery verdicts from each row's max |x|.
+
+    The row peaks are the streamed run's ``peaks``, or are taken from the
+    dense state log.  For each fault the window runs to the next fault (or
+    the horizon); the verdict is "recovered" when the deviation
+    infinity-norm over the window's final settling-window stretch stays
+    below 5 % of the window peak.  A window that a divergence verdict cut
+    short reads "diverged", and a fault diagnosed as unrecoverable reads
+    "unrecoverable".  The row times must be sorted; a window is the rows
+    with ``t_start <= t <= t_end``.
     """
     out = []
-    dev = _row_peaks(log.x)
-    t = log.t
+    if log.peaks is None:
+        dev, t = _row_peaks(log.x), log.t
+    else:
+        dev, t = log.peaks, _GridTimes(len(log.peaks), scn.dt)
+    t_last = t[len(t) - 1]
+
+    def rows_between(t0, t1):
+        return dev[bisect.bisect_left(t, t0):bisect.bisect_right(t, t1)]
+
     fault_times = [f.t_fault for f in scn.faults]
     for i, f in enumerate(scn.faults):
         t_start = f.t_fault
-        t_end = fault_times[i + 1] if i + 1 < len(fault_times) else t[-1]
-        sel = (t >= t_start) & (t <= t_end)
-        window = dev[sel]
+        t_end = fault_times[i + 1] if i + 1 < len(fault_times) else t_last
+        window = rows_between(t_start, t_end)
         peak = float(window.max()) if window.size else 0.0
         tail_start = max(t_start, t_end - scn.settling_window)
-        tail = dev[(t >= tail_start) & (t <= t_end)]
+        tail = rows_between(tail_start, t_end)
         tail_max = float(tail.max()) if tail.size else 0.0
         verdict = "recovered" if (peak > 0 and tail_max < 0.05 * peak) \
             else "not-recovered"
-        if log.diverged and t_end >= t[-1]:
+        if log.diverged and t_end >= t_last:
             verdict = "diverged"
         plan_mode = None
         for tp, plan in log.plans:
@@ -949,11 +1072,13 @@ def build_report(scn: Scenario, log: TrajectoryLog,
 
 
 def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    """Write the dense log with the pinned column layout.
+    """Write the log's rows with the pinned column layout.
 
     Columns: ``t`` then, per subsystem, ``sub<i>_x1..x3, sub<i>_xhat1..x3,
     sub<i>_y, sub<i>_L``, and a trailing ``event`` column holding the
-    markers raised at that step (';'-joined) or empty.
+    markers raised at that step (';'-joined) or empty.  A log starting at
+    row 0 replaces ``path`` and writes the header; a later segment of a
+    streamed run (``row0 > 0``) is appended to it.
     """
     rows, n = log.y_used.shape
     header = ["t"]
@@ -967,11 +1092,14 @@ def write_trajectory_csv(log: TrajectoryLog, path) -> None:
     for m in log.events:
         events.setdefault(m.step, []).append(m.label)
     line = ",".join(["%.12g"] * (1 + 8 * n)) + ",%s\n"
-    block = 1024    # rows formatted from one scratch array
+    # rows formatted from one scratch array; their Python floats and
+    # strings, about 2.5 kB per row at n = 5, are the writer's transient
+    block = 256
     scratch = np.empty((min(rows, block), 1 + 8 * n))
     per_sub = scratch[:, 1:].reshape(-1, n, 8)     # a view into scratch
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "a" if log.row0 else "w", newline="") as fh:
+        if not log.row0:
+            fh.write(",".join(header) + "\n")
         for r0 in range(0, rows, block):
             r1 = min(rows, r0 + block)
             k = r1 - r0
@@ -982,7 +1110,8 @@ def write_trajectory_csv(log: TrajectoryLog, path) -> None:
             per_sub[:k, :, 7] = log.L[r0:r1]
             fh.write("".join(
                 line % (*row, ";".join(events.get(r, ())))
-                for r, row in enumerate(scratch[:k].tolist(), r0)))
+                for r, row in enumerate(scratch[:k].tolist(),
+                                        log.row0 + r0)))
 
 
 def write_events_json(log: TrajectoryLog, path) -> None:

@@ -76,6 +76,8 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
             ({"dt": 0.0}, "dt"),
             ({"controller": {"poles": [-1.2, -1.7, -2.4]}}, "controller.poles"),
             ({"outputs": {"traj": "mytraj.csv"}}, "outputs.traj"),
+            ({"outputs": {"report": "../escaped.json"}}, "outputs.report"),
+            ({"outputs": {"events": "trajectory.csv"}}, "outputs.events"),
             ({"observer": None}, "observer"),
             ({"weights": [1, 2]}, "weights"),
             ({"horizon": "abc"}, "horizon"),

@@ -26,6 +26,7 @@ from gridftc.sim_engine import (
     ScenarioError,
     TrajectoryLog,
     _attach_interaction_diagnostics,
+    _diag_stride,
     _grid_index,
     build_report,
     load_scenario,
@@ -189,6 +190,27 @@ def test_from_dict_rejects_unknown_fields(desk5):
     assert err.value.field == "outputs.events"
 
 
+@pytest.mark.parametrize("name", ["../x.csv", "sub/x.csv", "/tmp/x.csv",
+                                  "..", ".", ""])
+def test_outputs_must_be_bare_file_names(desk5, name):
+    base = {"plant": desk5.to_dict(), "horizon": 5.0, "dt": 1e-3}
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**base, "outputs": {"report": name}})
+    assert err.value.field == "outputs.report"
+
+
+@pytest.mark.parametrize("outputs, field", [
+    ({"trajectory": "run.out", "report": "run.out"}, "outputs.report"),
+    ({"events": "trajectory.csv"}, "outputs.events"),      # a default name
+])
+def test_outputs_must_not_collide(desk5, outputs, field):
+    base = {"plant": desk5.to_dict(), "horizon": 5.0, "dt": 1e-3}
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict({**base, "outputs": outputs})
+    assert err.value.field == field
+    assert "also the trajectory file" in str(err.value)
+
+
 def test_dict_round_trip(desk5):
     d = {
         "name": "loop", "plant": desk5.to_dict(), "horizon": 12.0,
@@ -322,8 +344,9 @@ def test_interaction_diagnostics_match_einsum(n, rows, max_samples, stride):
     log = TrajectoryLog(scenario_name="diag", t=np.arange(rows) * 1e-3, x=x,
                         xhat=np.zeros_like(x), y_meas=zeros, y_used=zeros,
                         L=np.ones((rows, n)))
-    _attach_interaction_diagnostics(log, lin, Tn, max_samples=max_samples)
+    assert _diag_stride(rows, max_samples) == stride
     X = x[::stride]
+    _attach_interaction_diagnostics(log, lin, Tn, X, stride)
     inter_ref = np.einsum("ikl,sil->sik", Tn,
                           np.einsum("ijkl,sjl->sik", Gint, X))
     assert log.diag_stride == stride
