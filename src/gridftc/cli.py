@@ -168,11 +168,10 @@ def cmd_analyze(args) -> int:
     n = lin.n
     result: dict = {"plant": plant.name, "subsystems": n}
 
-    nominal = []
-    for i in range(n):
-        rank, ok = kalman_rank(lin.A[i], lin.Csub[i], args.tol)
-        nominal.append({"subsystem": i + 1, "observable": ok, "rank": rank})
-    result["nominal_observability"] = nominal
+    ranks, oks = kalman_rank(lin.A, lin.Csub, args.tol)
+    result["nominal_observability"] = [
+        {"subsystem": i, "observable": ok, "rank": rank}
+        for i, (rank, ok) in enumerate(zip(ranks.tolist(), oks.tolist()), 1)]
 
     if args.fault is not None:
         fault = _fault_from_args(args, n)

@@ -4,20 +4,24 @@ When a subsystem keeps enough output information after a sensor fault, its
 measurement vector is rebuilt from the surviving rows plus the observer
 estimate (virtual sensor).  When observability is lost outright, the faulty
 subsystem is merged with neighbours until the merged system is observable
-from the neighbours' sensors.  Candidate sets are screened a stack at a time:
-structurally, then numerically and for stability, then for a single-output
-chain form (the merged observer needs one), and ranked by a Gramian-based
-cost.
+from the neighbours' sensors.  Candidate sets are screened one cardinality
+at a time: structurally, then numerically and for stability, then for a
+single-output chain form (the merged observer needs one), and ranked by a
+Gramian-based cost.
 
-The numeric and stability screens judge the coupled components of a set's
-members, not the whole set.  No ``Gint`` block links two components, and
-each member's outputs read only its own states, so the merged ``A`` and
-``C`` are block-diagonal over the components up to a permutation.  The
-set's eigenvalues are then the union of its components', and so are the
-singular values of its observability matrix when each component's matrix
-has as many power blocks as the set has states.  The Kalman verdict, every
-singular value above ``tol`` times the largest, becomes: the smallest
-component minimum above ``tol`` times the largest component maximum.
+The structural, numeric and stability screens judge the coupled components
+of a set's members, not the whole set.  No ``Gint`` block links two
+components, and each member's outputs read only its own states, so the
+merged ``A`` and ``C`` are block-diagonal over the components up to a
+permutation.  Every state of the set reaches a measured state exactly when
+every component's states do, and the set's eigenvalues are the union of its
+components'.  So are the singular values of its observability matrix when
+each component's matrix has as many power blocks as the set has states: the
+Kalman verdict, every singular value above ``tol`` times the largest,
+becomes the smallest component minimum above ``tol`` times the largest
+component maximum.  When the faulty member's component fails its own Kalman
+test, the set fails too, whatever its other components give.  Only the
+sets that pass all three screens are gathered whole.
 """
 
 from __future__ import annotations
@@ -63,13 +67,6 @@ FAULT_KINDS = ("gain", "stuck", "total-loss")
 MODE_VIRTUAL_SENSOR = "virtual-sensor"
 MODE_AUGMENTATION = "augmentation"
 MODE_UNRECOVERABLE = "unrecoverable"
-
-# Bytes of gathered state matrices per screened stack of candidate sets.  A
-# set of m members needs 8 (3m)^2 bytes (7.2 kB at m = 10), and about as
-# much again for its other gathered matrices and the screens' temporaries,
-# so a cardinality is cut into as many stacks as this budget needs, whatever
-# the plant size.
-SCREEN_STACK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -224,17 +221,17 @@ def _gather(lin: LinearizedPlant, sub: np.ndarray, faulty: int,
     ``faulty`` (0-based) zeroed wherever it is a member.
     """
     K, m = sub.shape
-    n, p = lin.n, lin.Csub.shape[1]
-    idx = lin.state_index()[sub].reshape(K, N_STATES * m)
+    n, p, d = lin.n, lin.Csub.shape[1], N_STATES * m
+    idx = lin.state_index()[sub].reshape(K, d)
     A = lin.full_matrix()[idx[:, :, None], idx[:, None, :]]
     B = lin.full_input()[idx[:, :, None], sub[:, None, :]]
     C_healthy = lin.full_output().reshape(n, p, N_STATES * n)[
         sub[:, :, None, None], np.arange(p)[:, None], idx[:, None, None, :]
-    ].reshape(K, m * p, N_STATES * m)
+    ].reshape(K, m * p, d)
     C = C_healthy.copy()
     dead = np.zeros(p, dtype=bool)
     dead[dead_rows] = True
-    C.reshape(K, m, p, -1)[(sub == faulty)[:, :, None] & dead] = 0.0
+    C.reshape(K, m, p, d)[(sub == faulty)[:, :, None] & dead] = 0.0
     return A, B, C, C_healthy
 
 
@@ -337,10 +334,12 @@ def _single_output_chain(A, B, C, tol: float):
 
 
 def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
-            A, B, C, C_healthy, alpha: float, xi: float, tol: float):
+            gathered, alpha: float, xi: float, tol: float):
     """The screens' verdicts on one candidate and, when admissible, its
     price.
 
+    ``gathered`` is the set's ``(A, B, C, C_healthy)``, read only when the
+    set passed all three screens (``None`` may stand in otherwise).
     Returns the report and, for a priced set, the ``(chain, weights)`` pair
     of its merged observer; a set without a single-output chain form is
     reported unobservable and not priced.
@@ -354,6 +353,7 @@ def _report(cand: tuple, structural: bool, observable: bool, stable: bool,
     if not stable:
         return CostReport(candidate=cand, observable=True, stable=False,
                           reason="merged state matrix is not Hurwitz"), None
+    A, B, C, C_healthy = gathered
     observer = _single_output_chain(A, B, C, tol)
     if observer is None:
         return CostReport(candidate=cand, observable=False, stable=True,
@@ -385,7 +385,7 @@ def evaluate_candidate(aug: AugmentedSystem, alpha: float, xi: float,
                                                      C=aug.C != 0))
     observable = structural and kalman_rank(aug.A, aug.C, tol)[1]
     return _report(aug.ids, structural, observable, is_hurwitz(aug.A),
-                   aug.A, aug.B, aug.C, aug.C_healthy, alpha, xi, tol)[0]
+                   (aug.A, aug.B, aug.C, aug.C_healthy), alpha, xi, tol)[0]
 
 
 @dataclass
@@ -440,25 +440,29 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
     smallest id tuple.  ``excluded_ids`` removes subsystems that cannot help
     (for example ones currently faulty themselves).
 
-    The sets of one cardinality are gathered and screened as stacks of at
-    most ``SCREEN_STACK_BYTES`` of state matrices; only admissible sets are
-    priced, one at a time.  The structural screen reads each whole set.
-    The numeric and stability verdicts come from the connected components
-    of the coupling graph among a set's members (the ``Gint`` blocks,
-    either direction), labelled once per stack; the merged matrices are
-    block-diagonal over these components (module docstring).
+    The sets of one cardinality are screened as one stack, whose coupled
+    components (connected groups of a set's members over the ``Gint``
+    blocks, either direction) are labelled once; the merged matrices are
+    block-diagonal over them (module docstring).  Only the sets that pass
+    the structural, numeric and stability screens are gathered whole, and
+    only admissible sets are priced, one at a time.
 
-    - Stability: each distinct component is judged once per call, on its
-      principal submatrix and against its own margin 1e-9 max(1, |A_c|_1),
-      and a set is stable when all its components are.  Only an eigenvalue
-      whose real part lies between a component's margin and the (never
-      smaller) margin of the whole set could be judged differently from a
-      whole-set :func:`is_hurwitz`.
-    - Observability: for a set of d states, each distinct component gets
-      the largest and smallest singular values of its observability matrix
+    - Structure and stability: each distinct component is judged once per
+      call, on its gathered matrices (the faulty member's dead rows
+      zeroed).  A set is structurally observable when all its components
+      are, exactly as the whole set would be.  It is stable when all its
+      components are Hurwitz against their own margins 1e-9 max(1,
+      |A_c|_1); only an eigenvalue whose real part lies between a
+      component's margin and the (never smaller) margin of the whole set
+      could be judged differently from a whole-set :func:`is_hurwitz`.
+    - Observability: for a set of d states, each component gets the
+      largest and smallest singular values of its observability matrix
       with d power blocks, once per cardinality and one stacked SVD per
-      component size.  The set is observable when the smallest minimum
-      exceeds ``tol`` times the largest maximum, which is the whole-set
+      component size.  The faulty member's component comes first: a set
+      whose faulty component fails its own test is unobservable, and only
+      the other structurally observable sets have their helper components
+      judged.  The set is observable when the smallest minimum exceeds
+      ``tol`` times the largest maximum, which is the whole-set
       :func:`kalman_rank` count up to rounding.
 
     Without ``j_max`` every admissible candidate is acceptable; a warning is
@@ -492,18 +496,20 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
                      if i != faulty_id and i not in set(excluded_ids))
     coupled = lin.Gint.any(axis=(2, 3))
     coupled |= coupled.T
-    hurwitz_memo: dict = {}
+    screens_memo: dict = {}
 
-    def hurwitz(ids):
-        idx = lin.state_index()[ids].reshape(len(ids), -1)
-        return is_hurwitz(lin.full_matrix()[idx[:, :, None],
-                                            idx[:, None, :]]).tolist()
+    def screens(ids):
+        A_c, _, C_c, _ = _gather(lin, ids, f, rows)
+        return zip(structurally_observable(ZeroPattern(A=A_c != 0,
+                                                       C=C_c != 0)).tolist(),
+                   is_hurwitz(A_c).tolist())
 
     reports: list[CostReport] = []
     for card in range(1, len(helpers) + 1):
         admissible = []
         sets = [(faulty_id,) + combo
                 for combo in itertools.combinations(helpers, card)]
+        sub = np.subtract(sets, 1)
         m = card + 1
         extremes_memo: dict = {}
 
@@ -512,35 +518,39 @@ def rftc_select(faulty_id: int, lin: LinearizedPlant, alpha: float, xi: float,
             s = obsv_singular_values(A_c, C_c, N_STATES * m)
             return s[:, [0, -1]].tolist()
 
-        step = max(1, SCREEN_STACK_BYTES // (8 * (N_STATES * m) ** 2))
-        for start in range(0, len(sets), step):
-            chunk = sets[start:start + step]
-            sub = np.subtract(chunk, 1)
-            A, B, C, C_healthy = _gather(lin, sub, f, rows)
-            comps, where = _components(coupled, sub)
-            stable = _by_component(comps, hurwitz_memo,
-                                   hurwitz)[where].all(axis=1)
-            structural = structurally_observable(ZeroPattern(A=A != 0,
-                                                             C=C != 0))
-            observable = np.zeros(len(chunk), dtype=bool)
-            if structural.any():
-                where_s = where[structural]
-                needed = np.zeros(len(comps), dtype=bool)
-                needed[where_s] = True
-                ext = np.zeros((len(comps), 2))
-                ext[needed] = _by_component(comps[needed], extremes_memo,
-                                            extremes)
-                # Smallest component minimum against the largest maximum.
-                observable[structural] = (ext[where_s, 1].min(axis=1)
-                                          > tol * ext[where_s, 0].max(axis=1))
-            verdicts = zip(structural.tolist(), observable.tolist(),
-                           stable.tolist())
-            for k, (ids, verdict) in enumerate(zip(chunk, verdicts)):
-                rep, observer = _report(ids, *verdict, A[k], B[k], C[k],
-                                        C_healthy[k], alpha, xi, tol)
-                reports.append(rep)
-                if rep.J is not None and rep.J <= j_max:
-                    admissible.append((rep, observer))
+        comps, where = _components(coupled, sub)
+
+        def component_extremes(labels):
+            needed = np.zeros(len(comps), dtype=bool)
+            needed[labels] = True
+            ext = np.zeros((len(comps), 2))
+            ext[needed] = _by_component(comps[needed], extremes_memo,
+                                        extremes).reshape(-1, 2)
+            return ext[labels]
+
+        structural, stable = _by_component(comps, screens_memo,
+                                           screens)[where].all(axis=1).T
+        # The faulty member's component (column 0) first: when it fails its
+        # own test, its minimum is at most tol times its maximum, so at most
+        # tol times the set's.  Only the sets it passes need the others.
+        judged = np.flatnonzero(structural)
+        ext = component_extremes(where[judged, 0])
+        judged = judged[ext[:, 1] > tol * ext[:, 0]]
+        ext = component_extremes(where[judged])
+        observable = np.zeros(len(sets), dtype=bool)
+        # Smallest component minimum against the largest maximum.
+        observable[judged] = (ext[..., 1].min(axis=1)
+                              > tol * ext[..., 0].max(axis=1))
+        survivors = zip(*_gather(lin, sub[structural & observable & stable],
+                                 f, rows))
+        for ids, *verdict in zip(sets, structural.tolist(),
+                                 observable.tolist(), stable.tolist()):
+            rep, observer = _report(ids, *verdict,
+                                    next(survivors) if all(verdict) else None,
+                                    alpha, xi, tol)
+            reports.append(rep)
+            if rep.J is not None and rep.J <= j_max:
+                admissible.append((rep, observer))
         if admissible:
             best, (chain, weights) = min(
                 admissible, key=lambda a: (a[0].J, a[0].candidate))

@@ -1,14 +1,14 @@
 """Candidate screening against the loop-built reference implementations.
 
-``rftc_select`` gathers each cardinality's candidates out of the cached
-full-plant matrices as one stack and runs every screen once on it: the
-structural screen walks whole frontiers, ``is_hurwitz`` and the Kalman test
-take stacks, the stability and Kalman verdicts are read off each coupled
-component of the sets once, and ``obsv_matrix`` fills a preallocated array.
-Each must give exactly what the block-copy, depth-first, ``vstack``,
-whole-set and one-matrix-at-a-time versions give, down to the last bit of
-every reported cost; the per-component Kalman verdict may differ from the
-whole set's only where rounding decides it.
+``rftc_select`` reads the structural, stability and Kalman verdicts of each
+cardinality's candidates off their coupled components, each gathered out of
+the cached full-plant matrices and judged once, and gathers whole only the
+sets that pass all three: the structural screen walks whole frontiers,
+``is_hurwitz`` and the Kalman test take stacks, and ``obsv_matrix`` fills a
+preallocated array.  Each must give exactly what the block-copy,
+depth-first, ``vstack``, whole-set and one-matrix-at-a-time versions give,
+down to the last bit of every reported cost; the per-component Kalman
+verdict may differ from the whole set's only where rounding decides it.
 """
 
 import functools
@@ -221,6 +221,36 @@ def _ring12_oracle_plan():
                             gridftc.observability, j_max=0.0)
 
 
+def test_worst_case_search_gathers_only_admitted_sets(monkeypatch):
+    """Outside the per-component judges, ``_gather`` sees only the sets that
+    passed the structural, numeric and stability screens, 43 of 2,047 on
+    this ring; the plan is still the whole-set oracle's."""
+    lin = ring_coupled_plant(12, 5)
+    gather = gridftc.reconfig._gather
+    by_component = gridftc.reconfig._by_component
+    judging, gathered = [], []
+
+    def judge(*args):
+        judging.append(True)
+        try:
+            return by_component(*args)
+        finally:
+            judging.pop()
+
+    def counting(lin, sub, *args):
+        if not judging:
+            gathered.append(len(sub))
+        return gather(lin, sub, *args)
+
+    monkeypatch.setattr(gridftc.reconfig, "_by_component", judge)
+    monkeypatch.setattr(gridftc.reconfig, "_gather", counting)
+    got = rftc_select(4, lin, 100.0, 50.0, j_max=0.0).to_dict()
+    passed = sum(rep["reason"] in ("", "no single-output chain form")
+                 for rep in got["candidates"])
+    assert sum(gathered) == passed
+    assert got == _ring12_oracle_plan()
+
+
 def test_worst_case_search_judges_each_ring_arc_once(monkeypatch):
     """A ring set splits into arcs of the ring, so a worst-case search hands
     the stability screen at most one matrix per distinct arc, n (n - 1) + 1
@@ -243,9 +273,9 @@ def test_worst_case_search_judges_each_ring_arc_once(monkeypatch):
 
 def test_worst_case_search_takes_one_svd_per_ring_arc(monkeypatch):
     """The numeric screen hands the singular-value function one matrix per
-    distinct arc of each cardinality's structurally observable sets, 462 on
-    this ring, where the whole-set Kalman test takes all 1,536 of those
-    sets; the plan is still the whole-set oracle's."""
+    distinct arc it needs in each cardinality, 246 on this ring, where the
+    whole-set Kalman test takes all 1,536 structurally observable sets; the
+    plan is still the whole-set oracle's."""
     lin = ring_coupled_plant(12, 5)
     seen = []
 
@@ -258,10 +288,64 @@ def test_worst_case_search_takes_one_svd_per_ring_arc(monkeypatch):
     structural = sum(rep["reason"] != "structurally unobservable"
                      for rep in got["candidates"])
     assert structural == 1536
-    assert sum(seen) < structural
+    assert sum(seen) == 246
     assert got == _ring12_oracle_plan()
 
 
+def _coupled_groups(lin, members):
+    """The connected groups of ``members`` (0-based) over the ``Gint``
+    blocks, either direction, as frozensets."""
+    coupled = lin.Gint.any(axis=(2, 3))
+    coupled |= coupled.T
+    left, groups = set(members), []
+    while left:
+        group, todo = set(), [left.pop()]
+        while todo:
+            i = todo.pop()
+            group.add(i)
+            todo += [j for j in left if coupled[i, j]]
+            left -= set(todo)
+        groups.append(frozenset(group))
+    return groups
+
+
+def test_helper_arcs_skip_sets_whose_faulty_arc_fails(monkeypatch):
+    """A set whose faulty member's arc fails its own Kalman test fails too,
+    so no helper-only arc reaches the singular-value function for such a
+    set: the helper arcs it receives are exactly those of structurally
+    observable sets whose faulty arc passed."""
+    lin = ring_coupled_plant(12, 5)
+    f, tol = 3, 1e-9
+    gather = gridftc.reconfig._gather
+    last = []
+    extremes = {}
+
+    def remembering(lin, sub, *args):
+        last[:] = [frozenset(row) for row in sub.tolist()]
+        return gather(lin, sub, *args)
+
+    def recording(A, C, blocks=None):
+        s = obsv_singular_values(A, C, blocks)
+        for arc, values in zip(last, s):
+            extremes[blocks, arc] = values[0], values[-1]
+        return s
+
+    monkeypatch.setattr(gridftc.reconfig, "_gather", remembering)
+    monkeypatch.setattr(gridftc.reconfig, "obsv_singular_values", recording)
+    got = rftc_select(f + 1, lin, 100.0, 50.0, j_max=0.0, tol=tol)
+    assert got.to_dict() == _ring12_oracle_plan()
+    needed, spared = set(), set()
+    for rep in got.candidates:
+        if rep.reason == "structurally unobservable":
+            continue
+        blocks = 3 * len(rep.candidate)
+        groups = _coupled_groups(lin, np.subtract(rep.candidate, 1))
+        head = next(g for g in groups if f in g)
+        s_max, s_min = extremes[blocks, head]
+        helpers = {(blocks, g) for g in groups if g != head}
+        (needed if s_min > tol * s_max else spared).update(helpers)
+    assert {key for key in extremes if f not in key[1]} == needed
+    assert spared - needed
 @SEARCH
 @given(data=st.data(),
        lin=plants | st.sampled_from([DESK4, DESK5]),
