@@ -21,6 +21,7 @@ from .observability import StateSpace, kalman_rank, obsv_matrix
 
 __all__ = [
     "ChainForm",
+    "ChainScratch",
     "to_chain_form",
     "shaping_coefficients",
     "chain_rk4",
@@ -86,7 +87,36 @@ def shaping_coefficients(n: int) -> np.ndarray:
     return np.array([math.comb(n, k) for k in range(1, n + 1)], dtype=float)
 
 
-def chain_rk4(Z, y, g, uch, dt):
+class ChainScratch:
+    """Caller-owned temporaries of :func:`chain_rk4` for chain states of
+    ``shape``: the four RK4 stages, the stage state and the innovation,
+    with the row views the step reads, and the step's constants for the
+    last ``dt`` as 0-d arrays (a ufunc takes those faster than Python
+    floats, with the same result).  One scratch serves any number of calls,
+    one at a time."""
+
+    __slots__ = ("stages", "heads", "s", "s0", "s_tail", "e", "dt",
+                 "constants")
+
+    def __init__(self, shape):
+        self.stages = tuple(np.empty((4,) + tuple(shape)))
+        self.heads = tuple(k[:-1] for k in self.stages)
+        self.s = np.empty(shape)
+        # s[0, ...] stays a view when the state is 1-D
+        self.s0, self.s_tail = self.s[0, ...], self.s[1:]
+        self.e = np.empty(shape[1:])
+        self.dt = None
+
+    def step_constants(self, dt):
+        """``(dt / 2, dt, 2, dt / 6)`` as 0-d arrays."""
+        if dt != self.dt:
+            self.dt = dt
+            self.constants = tuple(np.array(c) for c in
+                                   (0.5 * dt, dt, 2.0, dt / 6.0))
+        return self.constants
+
+
+def chain_rk4(Z, y, g, uch, dt, out=None, scratch=None):
     """One RK4 step of chain-observer dynamics, batched over trailing axes.
 
     ``Z`` is chain-axis first, (n_chain, ...): a 1-D state is one observer,
@@ -96,40 +126,51 @@ def chain_rk4(Z, y, g, uch, dt):
     ``a_k L^k`` and ``uch`` the chain-coordinate input term, both shaped
     like ``Z``.  The stages are summed in place in the order
     ``Z + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.
+
+    The next state goes to ``out`` (shaped like ``Z``, not ``Z`` itself)
+    and the temporaries to ``scratch``, a :class:`ChainScratch`; either is
+    allocated when not given, and the next state is returned.
     """
-    def rhs(z):
-        dz = g * (y - z[0])
-        dz += uch
-        dz[:-1] += z[1:]
-        return dz
+    ws = ChainScratch(Z.shape) if scratch is None else scratch
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    half, full, two, sixth = ws.step_constants(dt)
+    e, s = ws.e, ws.s
+    k1, k2, k3, k4 = stages = ws.stages
+    z0, z_tail, prev = Z[0], Z[1:], None
+    for dz, head, h in zip(stages, ws.heads, (None, half, half, full)):
+        if h is not None:       # the stage state Z + h k_(i-1)
+            multiply(prev, h, s)
+            add(s, Z, s)
+            z0, z_tail = ws.s0, ws.s_tail
+        subtract(y, z0, e)
+        multiply(g, e, dz)
+        add(dz, uch, dz)
+        add(head, z_tail, head)
+        prev = dz
+    add(k2, k3, k2)
+    multiply(k2, two, k2)
+    add(k2, k1, k2)
+    add(k2, k4, k2)
+    multiply(k2, sixth, k2)
+    return add(k2, Z, out)
 
-    def stage(k, h):
-        s = k * h
-        s += Z
-        return s
 
-    k1 = rhs(Z)
-    k2 = rhs(stage(k1, 0.5 * dt))
-    k3 = rhs(stage(k2, 0.5 * dt))
-    k4 = rhs(stage(k3, dt))
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += Z
-    return k2
-
-
-def gain_law(L, e1, dt, L_max, l_value=None):
+def gain_law(L, e1, dt, L_max, l_value=None, out=None, scratch=None):
     """Forward-Euler step of the gain law L' = e1^2 / l^2, capped at L_max.
 
     Without ``l_value`` the divisor l is the current gain (self-normalizing
     law), so growth slows as L rises; the gain never decreases.  Works on
-    scalars and elementwise on arrays.
+    scalars and elementwise on arrays.  For arrays the next gain can go to
+    ``out`` and ``l * l`` to ``scratch`` (both shaped like ``L``, neither
+    ``L`` itself); without them the arrays are allocated.
     """
-    l = L if l_value is None else l_value
-    return np.minimum(L_max, L + dt * ((e1 * e1) / (l * l)))
+    ll = (np.multiply(L, L, out=scratch) if l_value is None
+          else l_value * l_value)
+    rate = np.multiply(e1, e1, out=out)
+    rate /= ll
+    rate = np.multiply(dt, rate, out=out)
+    rate = np.add(L, rate, out=out)
+    return np.minimum(L_max, rate, out=out)
 
 
 def interaction_bound_estimate(traj, min_activity: float = 1e-9) -> np.ndarray:

@@ -244,20 +244,43 @@ def _as_state(x, n: int) -> np.ndarray:
     return arr
 
 
-def _network_power(delta0, ddelta, E, Y):
+class _RhsScratch:
+    """Caller-owned temporaries of :func:`_rhs_core` for ``n`` machines.
+
+    ``phase`` is the zero-real complex array whose imaginary part receives
+    the absolute angles: nothing ever writes its real part.  ``S_real`` and
+    ``S_imag`` are views of ``S``.  One scratch serves any number of calls,
+    one at a time.
+    """
+
+    __slots__ = ("E", "phase", "phase_imag", "w", "Ew", "S", "S_real",
+                 "S_imag", "q")
+
+    def __init__(self, n: int):
+        self.E = np.empty(n)
+        self.phase = np.zeros(n, dtype=complex)
+        self.phase_imag = self.phase.imag
+        self.w = np.empty(n, dtype=complex)
+        self.Ew = np.empty(n, dtype=complex)
+        self.S = np.empty(n, dtype=complex)
+        self.S_real, self.S_imag = self.S.real, self.S.imag
+        self.q = np.empty(n)
+
+
+def _network_power(delta0, ddelta, E, Y, ws: _RhsScratch):
     """``S = conj(w) (Y @ (E w))`` with ``w = exp(1j (delta0 + ddelta))``
     and ``Y = G + 1j B``: by the module docstring ``Iq = Re S`` and
     ``Id = -Im S``.
 
-    ``1j * delta`` is built as a zero-real complex array whose imaginary
-    part receives the sum, and the conjugate and the product are taken in
-    place.
+    ``1j * delta`` is the zero-real ``ws.phase`` whose imaginary part
+    receives the sum; every product goes to ``ws``, and ``ws.S`` is
+    returned.
     """
-    w = np.zeros(E.shape, dtype=complex)
-    np.add(delta0, ddelta, out=w.imag)
-    np.exp(w, out=w)
-    S = Y @ (E * w)
-    return np.multiply(np.conjugate(w, out=w), S, out=S)
+    w, S = ws.w, ws.S
+    np.add(delta0, ddelta, ws.phase_imag)
+    np.exp(ws.phase, w)
+    np.matmul(Y, np.multiply(E, w, ws.Ew), S)
+    return np.multiply(np.conjugate(w, w), S, S)
 
 
 def currents(state, op: OperatingPoint, net: NetworkModel):
@@ -273,7 +296,7 @@ def currents(state, op: OperatingPoint, net: NetworkModel):
         raise ValueError(f"operating point has {op.n} machines, network has {n}")
     x = _as_state(state, n)
     S = _network_power(op.delta0, x[:, 0], op.Eq_prime0 + x[:, 2],
-                       net.G + 1j * net.B)
+                       net.G + 1j * net.B, _RhsScratch(n))
     return -S.imag, S.real
 
 
@@ -313,7 +336,7 @@ def _rhs_constants(params: Sequence[GeneratorParams], op: OperatingPoint,
     return k
 
 
-def _rhs_core(x, u, k: _RhsConstants):
+def _rhs_core(x, u, k: _RhsConstants, out=None, scratch=None):
     """Unvalidated deviation-dynamics right-hand side (hot-loop form).
 
     ``x`` is state-major, (3, n): row 0 the angles, row 1 the speeds, row 2
@@ -323,26 +346,33 @@ def _rhs_core(x, u, k: _RhsConstants):
     :func:`derivatives` wraps it with input validation and the (n, 3)
     layout.
 
-    The rows are computed in place:
+    The result goes to ``out`` (shaped like ``x``, not ``x`` itself) and the
+    temporaries to ``scratch``, a :class:`_RhsScratch`; either is allocated
+    when not given, and ``out`` is returned.  ``x`` and ``out`` may also be
+    given as tuples of their three row views, which a caller stepping the
+    same arrays many times builds once.  The rows are computed in place:
     ``dx[1] = (drive - damp x[1]) - gain (E Iq)`` and
     ``dx[2] = ((u - E) - dxd Id) inv_Tdo``, where subtracting
     ``dxd Id = -(dxd Im S)`` is adding ``Im S dxd``, bit for bit.
     """
-    E = k.E0 + x[2]
-    S = _network_power(k.delta0, x[0], E, k.Y)
-    dx = np.empty_like(x)
-    dx[0] = x[1]
-    r = dx[1]
-    np.multiply(k.damp, x[1], out=r)
-    np.subtract(k.drive, r, out=r)
-    q = E * S.real
-    q *= k.gain
-    r -= q
-    r = dx[2]
-    np.subtract(u, E, out=r)
-    q = S.imag * k.dxd
-    r += q
-    r *= k.inv_Tdo
+    ws = _RhsScratch(len(u)) if scratch is None else scratch
+    dx = np.empty_like(x) if out is None else out
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    x0, x1, x2 = x
+    d0, d1, d2 = dx
+    E, q = ws.E, ws.q
+    add(k.E0, x2, E)
+    _network_power(k.delta0, x0, E, k.Y, ws)
+    np.copyto(d0, x1)
+    multiply(k.damp, x1, d1)
+    subtract(k.drive, d1, d1)
+    multiply(E, ws.S_real, q)
+    multiply(q, k.gain, q)
+    subtract(d1, q, d1)
+    subtract(u, E, d2)
+    multiply(ws.S_imag, k.dxd, q)
+    add(d2, q, d2)
+    multiply(d2, k.inv_Tdo, d2)
     return dx
 
 

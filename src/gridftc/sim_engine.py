@@ -67,6 +67,26 @@ through this module's globals ``_rhs_core`` and ``_rk4_chain`` (a 2-D state
 is the nominal bank, a 1-D state the merged observer), where the
 ``perfbench`` tracer hooks them.
 
+At n = 5 the step costs numpy call overhead, not arithmetic, so each run
+owns one workspace, ``_Workspace``, built with the engine: the plant's RK4
+stages and stage state, the scratch of the plant RHS and of the chain step,
+the bank's gains, input term and innovation, the gain law's ``L * L``, the
+decoded estimates, the controller's product and inputs, and a spare ``Z``
+and ``Lg``.  The merged observer holds the same for its chain.  The step
+calls every ufunc with its output in a buffer, on row views built once,
+with its float constants as 0-d arrays; it allocates no array data except
+the new array that ``measure`` returns while a fault is active.  Every ufunc
+keeps the operands and the order of the allocating form, so the bits do
+not depend on the buffers.  The scratch belongs to the run, never to the
+plant's cached RHS constants, which every run of a plant shares.
+
+Aliasing rule: a step writes the spare chain state and gains (``Z``/``Lg``
+and the merged observer's ``z``/``L``), then the pairs swap, and a run's
+last row is logged but not stepped.  So ``self.Z``, ``self.Lg``,
+``merged.z`` and ``self.y_abs``, which ``diagnose`` and ``activate`` read
+between segments, hold the last logged row's values and are not written
+again before the next ``advance``.
+
 Divergence verdict
 ------------------
 Segments also end every ``DIVERGENCE_CHECK_STEPS`` rows.  After each one,
@@ -100,6 +120,7 @@ import numpy as np
 from .observability import StateSpace
 from .observer import (
     DEFAULT_L_MAX,
+    ChainScratch,
     chain_rk4 as _rk4_chain,
     gain_law,
     shaping_coefficients,
@@ -109,6 +130,7 @@ from .power_model import (
     N_OUTPUTS,
     N_STATES,
     PlantModel,
+    _RhsScratch,
     _rhs_constants,
     _rhs_core,
     load_plant,
@@ -162,7 +184,8 @@ class ObserverConfig:
     ``l_mode`` selects the gain-law normalization: ``"self"`` divides the
     squared innovation by the current gain, ``"constant"`` by ``l_value``
     squared.  ``initial_offset`` is added to every physical estimate
-    component at t = 0.
+    component at t = 0.  ``l_value`` and ``initial_offset`` must be finite;
+    ``L_max`` may be infinite (no cap).
     """
 
     l_mode: str = "self"
@@ -178,6 +201,11 @@ class ObserverConfig:
             if self.l_value is None or not self.l_value > 0:
                 raise ScenarioError("observer.l_value",
                                     "constant mode needs a positive l_value")
+        for name in ("l_value", "initial_offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ScenarioError(f"observer.{name}",
+                                    f"must be finite, got {value}")
         if not self.L_max >= 1.0:
             raise ScenarioError("observer.L_max", "must be at least 1")
 
@@ -297,7 +325,8 @@ class Scenario:
 
         Fields (an unknown field or sub-key, a sub-object that is not an
         object, a value of the wrong type and a non-finite number other
-        than ``j_max`` raise :class:`ScenarioError` naming it):
+        than ``j_max`` and ``observer.L_max`` raise :class:`ScenarioError`
+        naming it):
 
         * ``plant`` (required) -- a plant JSON file, relative to
           ``base_dir`` unless absolute, or the inline object that
@@ -313,9 +342,10 @@ class Scenario:
           faults only, required there) and ``stuck_value`` (default: hold
           the last reading).
         * ``observer`` -- ``l_mode`` (``"self"`` or ``"constant"``, default
-          ``"self"``), ``l_value`` (required and positive in constant mode),
-          ``L_max`` (default ``DEFAULT_L_MAX``) and ``initial_offset``
-          (default 0).
+          ``"self"``), ``l_value`` (required and positive in constant mode;
+          finite when given), ``L_max`` (at least 1, default
+          ``DEFAULT_L_MAX``; Infinity means no cap) and ``initial_offset``
+          (finite, default 0).
         * ``controller`` -- ``gains``, one row of three per subsystem;
           without it there is no feedback.
         * ``weights`` -- the search's cost weights ``alpha`` (default 100)
@@ -573,6 +603,13 @@ class _MergedObserver:
     that machine's estimate is the first three chain-decoded states.  The
     faulty member's dead sensor rows carry no output weight.  The gain
     adaptation restarts at L = 1.
+
+    The per-step temporaries are built here, once: the members' readings
+    and inputs, the weighted reading ``y``, the innovation and the gain as
+    0-d arrays, the gains ``a_k L^k``, the input term and the decoded
+    estimates, which :meth:`estimates` returns (``head`` views the faulty
+    machine's three).  A step writes the spare chain state and gain, then
+    ``z``/``z_spare`` and ``L``/``L_spare`` swap.
     """
 
     def __init__(self, plan: ReconfigPlan, xhat: np.ndarray):
@@ -583,20 +620,36 @@ class _MergedObserver:
         self.coeffs = shaping_coefficients(n)
         self.powers = np.arange(1, n + 1, dtype=float)
         self.z = self.chain.T @ xhat[self.idx].ravel()
-        self.L = 1.0
+        self.L = np.array(1.0)
+        m = len(self.idx)
+        self.y_sub, self.u_sub = np.empty(m), np.empty(m)
+        self.y, self.e1, self.ll = np.empty(()), np.empty(()), np.empty(())
+        self.g, self.uch = np.empty(n), np.empty(n)
+        self.z_spare, self.L_spare = np.empty(n), np.empty(())
+        self.scratch = ChainScratch((n,))
+        self.xhat = np.empty(n)
+        self.head = self.xhat[:N_STATES]
 
     def step(self, y_used: np.ndarray, u_dev: np.ndarray, dt: float,
-             L_max: float, l_value: Optional[float]) -> None:
+             L_max, l_value: Optional[float]) -> None:
         """Advance the estimate and the gain one grid step."""
-        y = float(self.weights @ y_used[self.idx])
-        uch = self.chain.input_chain @ u_dev[self.idx]
-        g = self.coeffs * self.L ** self.powers
-        e1 = y - self.z[0]
-        self.z = _rk4_chain(self.z, y, g, uch, dt)
-        self.L = gain_law(self.L, e1, dt, L_max, l_value)
+        y, z, L = self.y, self.z, self.L
+        # the members' entries; "clip" never moves an index in range, and
+        # spares the buffered copy that "raise" makes of ``out``
+        np.matmul(self.weights, y_used.take(self.idx, None, self.y_sub,
+                                            "clip"), y)
+        np.matmul(self.chain.input_chain,
+                  u_dev.take(self.idx, None, self.u_sub, "clip"), self.uch)
+        g = np.multiply(self.coeffs, np.power(L, self.powers, self.g), self.g)
+        np.subtract(y, z[0], self.e1)
+        self.z = _rk4_chain(z, y, g, self.uch, dt, out=self.z_spare,
+                            scratch=self.scratch)
+        self.L = gain_law(L, self.e1, dt, L_max, l_value, out=self.L_spare,
+                          scratch=self.ll)
+        self.z_spare, self.L_spare = z, L
 
     def estimates(self) -> np.ndarray:
-        return self.chain.T_inv @ self.z
+        return np.matmul(self.chain.T_inv, self.z, self.xhat)
 
 
 def _timeline(scn: Scenario, n_steps: int) -> list:
@@ -612,6 +665,47 @@ def _timeline(scn: Scenario, n_steps: int) -> list:
         if scn.reconfigure:
             events.append((_grid_index(f.t_fault + f.fdi_delay, scn.dt), 1, i))
     return sorted(e for e in events if e[0] <= n_steps)
+
+
+class _Workspace:
+    """Every per-row temporary of :meth:`_Engine.advance` for ``n``
+    machines, built once per run with the row views the step reads.
+
+    Plant: the four RK4 stages ``k``, the stage state ``s``, each of them
+    also as the tuple of its rows that :func:`_rhs_core` takes, and the RHS
+    scratch.  Bank: the chain-step scratch, the gains ``a_k L^k``, the input
+    term, the innovation, the gain law's ``L * L`` and the spare ``Z`` and
+    ``Lg`` that each step writes before the two pairs swap.  Rows: the
+    readings, the noise, the consumed readings, the virtual sensors'
+    readings, the decoded estimates (``xhat3`` is the (n, 3, 1) product
+    ``Tn_inv @ Z.T[..., None]`` and ``xhat`` its (n, 3) view) and the
+    controller's product and inputs.
+    """
+
+    def __init__(self, n: int):
+        shape = (N_STATES, n)
+        self.k = np.empty((4,) + shape)
+        self.s = np.empty(shape)
+        self.k_rows = [tuple(k) for k in self.k]
+        self.s_rows = tuple(self.s)
+        self.rhs = _RhsScratch(n)
+        self.chain = ChainScratch(shape)
+        self.gains = np.empty(shape)
+        self.uch = np.empty(shape)
+        self.e1 = np.empty(n)
+        self.ll = np.empty(n)
+        self.Z_spare = np.empty(shape)
+        self.Lg_spare = np.empty(n)
+        self.y_abs = np.empty(n)
+        self.noise = np.empty(n)
+        self.y_dev = np.empty(n)
+        self.y_used = np.empty(n)
+        self.vs_y = np.empty(n)
+        self.xhat3 = np.empty((n, N_STATES, 1))
+        self.xhat = self.xhat3[..., 0]
+        self.Kx = np.empty((n, N_STATES))
+        self.u_dev = np.empty(n)
+        self.u_abs = np.empty(n)
 
 
 class _Engine:
@@ -631,6 +725,7 @@ class _Engine:
     ``(FaultEvent, held)`` pairs, ``vs_gain`` maps a 0-based subsystem to
     its virtual-sensor gain, ``frozen`` masks the subsystems whose nominal
     observer is switched off and ``merged`` is the augmented-set observer.
+    ``ws`` is the run's :class:`_Workspace`.
     """
 
     def __init__(self, scn: Scenario, seed: int, streamed: bool = False):
@@ -654,7 +749,9 @@ class _Engine:
         self.Tn = np.stack([c.T for c in chains])
         self.Tn_inv = np.stack([c.T_inv for c in chains])
         self.ICn = np.stack([c.input_chain.ravel() for c in chains], axis=1)
-        self.coeffs = shaping_coefficients(N_STATES)[:, None]
+        # full (3, n), so that the gains' product broadcasts nothing
+        self.coeffs = np.repeat(shaping_coefficients(N_STATES)[:, None], n,
+                                axis=1)
         self.powers = np.arange(1, N_STATES + 1, dtype=float)[:, None]
         xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
         self.Z = np.ascontiguousarray(
@@ -666,6 +763,7 @@ class _Engine:
 
         self.x = np.zeros((N_STATES, n))
         self.y_abs = self.y_ref.copy()
+        self.ws = _Workspace(n)
         self.rng = np.random.default_rng(seed)
         self.active: list = []
         self.vs_gain: dict = {}
@@ -702,47 +800,76 @@ class _Engine:
         ``measure`` runs only while a fault is active.  The plant and the
         bank go through the module globals ``_rhs_core`` and ``_rk4_chain``
         and the RK4 stages of the plant are summed in place, in the order
-        ``x + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.
+        ``x + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.  Every temporary is a
+        buffer of the run's :class:`_Workspace` or of the merged observer.
         """
-        dt, last, n = self.dt, self.n_steps, self.n
-        half, sixth = 0.5 * dt, dt / 6.0
-        x, Z, Lg, y_abs = self.x, self.Z, self.Lg, self.y_abs
+        dt, last, ws = self.dt, self.n_steps, self.ws
+        # step constants as 0-d arrays, which ufuncs take faster than floats
+        half, full, two, sixth, one, L_max, noise_amp = (
+            np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0, 1.0,
+                                  self.L_max, self.scn.noise_amplitude))
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        matmul = np.matmul
+        x, xT, x0, x_rows = self.x, self.x.T, self.x[0], tuple(self.x)
         y_ref, u0, K, Tn_inv = self.y_ref, self.u0, self.K, self.Tn_inv
         coeffs, powers, ICn = self.coeffs, self.powers, self.ICn
-        rhs_k, L_max, l_const = self.rhs_k, self.L_max, self.l_const
-        noise_amp, rng = self.scn.noise_amplitude, self.rng
+        rhs_k, l_const, rng = self.rhs_k, self.l_const, self.rng
+        noisy = self.scn.noise_amplitude > 0.0
         active, merged = self.active, self.merged
         frozen = self.frozen if self.frozen.any() else None
+        k1, k2, k3, k4 = ws.k
+        s, s_rows, k_rows = ws.s, ws.s_rows, ws.k_rows
+        rhs_ws, chain_ws = ws.rhs, ws.chain
+        gains, uch, e1, ll, noise = ws.gains, ws.uch, ws.e1, ws.ll, ws.noise
+        ya, y_dev, yu = ws.y_abs, ws.y_dev, ws.y_used
+        xhat3, xhat, Kx = ws.xhat3, ws.xhat, ws.Kx
+        u_dev, u_abs = ws.u_dev, ws.u_abs
+        # the current and the spare (Z, Z[0], Z.T[..., None], Lg); the step
+        # writes the spare, then the two swap
+        cur, nxt = [(Z, Z[0], Z.T[..., None], Lg) for Z, Lg in
+                    ((self.Z, self.Lg), (ws.Z_spare, ws.Lg_spare))]
         vs_idx = None
         if self.vs_gain:
             vs_idx = np.array(sorted(self.vs_gain))
             vs_f = np.array([self.vs_gain[i] for i in vs_idx])
             vs_fy = vs_f * y_ref[vs_idx]
+            vs_y = ws.vs_y[:len(vs_idx)]
         if merged is not None:
-            fid = merged.idx[0]
+            fid, m_head = merged.idx[0], merged.head
         log_x, log_xhat, log_L = self.log_x, self.log_xhat, self.log_L
         log_ymeas, log_yused = self.log_ymeas, self.log_yused
         base = self.base(k0)
 
+        y_abs = self.y_abs
         for k in range(k0, k_end):
             r = k - base
+            Z, Z0, ZT, Lg = cur
             # --- measurement and estimates at the step start -----------------
-            y_abs = y_ref + x[0]
-            if noise_amp > 0.0:
-                y_abs += noise_amp * (2.0 * rng.random(n) - 1.0)
+            y_abs = add(y_ref, x0, ya)
+            if noisy:
+                rng.random(out=noise)
+                multiply(two, noise, noise)
+                subtract(noise, one, noise)
+                multiply(noise_amp, noise, noise)
+                add(y_abs, noise, y_abs)
             if active:
                 y_abs = measure(y_abs, active)
-            y_dev = y_abs - y_ref
+            subtract(y_abs, y_ref, y_dev)
             y_used = y_dev
             if vs_idx is not None:
-                y_used = y_dev.copy()
-                y_used[vs_idx] = (y_abs[vs_idx] - vs_fy) / vs_f
-            xhat = (Tn_inv @ Z.T[..., None])[..., 0]
+                y_used = yu
+                np.copyto(yu, y_dev)
+                y_abs.take(vs_idx, None, vs_y, "clip")     # see merged step
+                subtract(vs_y, vs_fy, vs_y)
+                np.divide(vs_y, vs_f, vs_y)
+                yu[vs_idx] = vs_y
+            matmul(Tn_inv, ZT, xhat3)
             log_L[r] = Lg
             if merged is not None:
-                xhat[fid] = merged.estimates()[:N_STATES]
+                merged.estimates()
+                xhat[fid] = m_head
                 log_L[r, fid] = merged.L
-            log_x[r] = x.T
+            log_x[r] = xT
             log_xhat[r] = xhat
             log_ymeas[r] = y_dev
             log_yused[r] = y_used
@@ -750,7 +877,8 @@ class _Engine:
                 break
 
             # --- controller ----------------------------------------------------
-            u_dev = -(K * xhat).sum(1)
+            multiply(K, xhat, Kx)
+            np.negative(add.reduce(Kx, 1, None, u_dev), u_dev)
             if merged is not None:
                 # A freshly built merged chain restarts gain adaptation from
                 # L = 1 and is far too slow a filter to close the faulty
@@ -760,38 +888,44 @@ class _Engine:
                 # scheduled equilibrium field while estimation is rebuilt
                 # through the healthy member's sensor.
                 u_dev[fid] = 0.0
-            u_abs = u0 + u_dev
+            add(u0, u_dev, u_abs)
 
             # --- observers (innovation sampled at the step start) --------------
-            e1 = y_used - Z[0]
-            Z_next = _rk4_chain(Z, y_used, coeffs * Lg ** powers, ICn * u_dev,
-                                dt)
-            Lg_next = gain_law(Lg, e1, dt, L_max, l_const)
+            subtract(y_used, Z0, e1)
+            np.power(Lg, powers, gains)
+            multiply(coeffs, gains, gains)
+            multiply(ICn, u_dev, uch)
+            Z_next, _, _, Lg_next = nxt
+            _rk4_chain(Z, y_used, gains, uch, dt, out=Z_next,
+                       scratch=chain_ws)
+            gain_law(Lg, e1, full, L_max, l_const, out=Lg_next, scratch=ll)
             if frozen is not None:
                 np.copyto(Z_next, Z, where=frozen)
                 np.copyto(Lg_next, Lg, where=frozen)
-            Z, Lg = Z_next, Lg_next
+            cur, nxt = nxt, cur
             if merged is not None:
                 merged.step(y_used, u_dev, dt, L_max, l_const)
 
             # --- plant -----------------------------------------------------------
-            k1 = _rhs_core(x, u_abs, rhs_k)
-            s = k1 * half
-            s += x
-            k2 = _rhs_core(s, u_abs, rhs_k)
-            np.multiply(k2, half, out=s)
-            s += x
-            k3 = _rhs_core(s, u_abs, rhs_k)
-            np.multiply(k3, dt, out=s)
-            s += x
-            k4 = _rhs_core(s, u_abs, rhs_k)
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= sixth
-            x += k2
-        self.Z, self.Lg, self.y_abs = Z, Lg, y_abs
+            _rhs_core(x_rows, u_abs, rhs_k, k_rows[0], rhs_ws)
+            multiply(k1, half, s)
+            add(s, x, s)
+            _rhs_core(s_rows, u_abs, rhs_k, k_rows[1], rhs_ws)
+            multiply(k2, half, s)
+            add(s, x, s)
+            _rhs_core(s_rows, u_abs, rhs_k, k_rows[2], rhs_ws)
+            multiply(k3, full, s)
+            add(s, x, s)
+            _rhs_core(s_rows, u_abs, rhs_k, k_rows[3], rhs_ws)
+            add(k2, k3, k2)
+            multiply(k2, two, k2)
+            add(k2, k1, k2)
+            add(k2, k4, k2)
+            multiply(k2, sixth, k2)
+            add(x, k2, x)
+        self.Z, self.Lg = cur[0], cur[3]
+        ws.Z_spare, ws.Lg_spare = nxt[0], nxt[3]
+        self.y_abs = y_abs
 
     def check(self, k0: int, k_end: int) -> bool:
         """Divergence verdict on rows ``k0 .. k_end - 1``.

@@ -9,6 +9,7 @@ import _oracles as orc
 from gridftc.observability import StateSpace
 from gridftc.observer import (
     DEFAULT_L_MAX,
+    ChainScratch,
     chain_rk4,
     gain_law,
     interaction_bound_estimate,
@@ -134,6 +135,19 @@ def test_chain_step_matches_loop_oracle(shape, n, m, seed, l_mode, capped):
         assert float(L_row) == ref_L
     if capped:
         assert np.ravel(L_next)[0] == L_max
+
+    # the same step through caller-owned buffers that a step from another
+    # state has left behind writes the same bytes into them
+    out, scratch = np.empty_like(Z), ChainScratch(Z.shape)
+    L = np.array(L)
+    L_out, ll = np.empty_like(L), np.empty_like(L)
+    for state, gain in ((rng.uniform(-2.0, 2.0, Z.shape), L + 1.0), (Z, L)):
+        assert chain_rk4(state, y, g, uch, dt, out=out,
+                         scratch=scratch) is out
+        assert gain_law(gain, y - state[0], dt, L_max, l_value, out=L_out,
+                        scratch=ll) is L_out
+    assert out.tobytes() == Z_next.tobytes()
+    assert L_out.tobytes() == np.asarray(L_next).tobytes()
 
 
 def test_desk2_convergence_with_random_offsets(desk2, rng):

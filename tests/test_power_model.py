@@ -10,6 +10,9 @@ from gridftc.power_model import (
     GeneratorParams,
     NetworkModel,
     OperatingPoint,
+    _RhsScratch,
+    _rhs_constants,
+    _rhs_core,
     construct_equilibrium,
     currents,
     derivatives,
@@ -142,14 +145,32 @@ def forty_machine_plant(seed=40):
     return params, op, net
 
 
+def assert_buffered_kernel_matches(buffers, x, u, k):
+    """``_rhs_core`` at the (n, 3) state ``x`` writes into the caller-owned
+    ``buffers`` (output, scratch), left over from a call at another state,
+    the bytes of the allocating call, and returns that output; so does the
+    form that passes the rows of state and output."""
+    out, scratch = buffers
+    xs = np.ascontiguousarray(x.T)
+    fresh = _rhs_core(xs, u, k)
+    assert _rhs_core(xs, u, k, out=out, scratch=scratch) is out
+    assert out.tobytes() == fresh.tobytes()
+    out[...] = np.nan
+    _rhs_core(tuple(xs), u, k, tuple(out), scratch)
+    assert out.tobytes() == fresh.tobytes()
+
+
 def test_derivatives_match_loop_oracle(desk5, rng):
     pa = desk5.generators
+    k = _rhs_constants(pa, desk5.op, desk5.network)
+    buffers = np.empty((3, desk5.n)), _RhsScratch(desk5.n)
     for _ in range(10):
         x = rng.uniform(-0.3, 0.3, (desk5.n, 3))
         u = desk5.op.Ef0 + rng.uniform(-0.2, 0.2, desk5.n)
         dx = derivatives(x, u, pa, desk5.op, desk5.network)
         dx_ref = oracle_derivatives(x, u, pa, desk5.op, desk5.network)
         assert np.max(np.abs(dx - dx_ref)) < 1e-12
+        assert_buffered_kernel_matches(buffers, x, u, k)
 
 
 @pytest.mark.parametrize("angle_span", [0.3, np.pi])
@@ -157,6 +178,8 @@ def test_kernel_matches_loop_oracle_forty_machines(rng, angle_span):
     # angle deviations up to pi put every quadrant of exp(1j delta) in play,
     # where a sign slip in the phasor form would show
     params, op, net = forty_machine_plant()
+    k = _rhs_constants(params, op, net)
+    buffers = np.empty((3, op.n)), _RhsScratch(op.n)
     for _ in range(3):
         x = rng.uniform(-0.3, 0.3, (op.n, 3))
         x[:, 0] = rng.uniform(-angle_span, angle_span, op.n)
@@ -164,6 +187,7 @@ def test_kernel_matches_loop_oracle_forty_machines(rng, angle_span):
         dx = derivatives(x, u, params, op, net)
         assert np.max(np.abs(dx - oracle_derivatives(x, u, params, op, net))) \
             < 1e-12
+        assert_buffered_kernel_matches(buffers, x, u, k)
         Id, Iq = currents(x, op, net)
         Id_ref, Iq_ref = orc.currents_loops(op.delta0 + x[:, 0],
                                             op.Eq_prime0 + x[:, 2],

@@ -166,6 +166,19 @@ def test_observer_config_checks():
     with pytest.raises(ScenarioError) as err:
         ObserverConfig(L_max=0.5)
     assert err.value.field == "observer.L_max"
+    # a non-finite offset or constant-mode divisor is refused here, not
+    # left to end the run at row 0 or to freeze every gain
+    for kwargs, name in (({"initial_offset": float("nan")}, "initial_offset"),
+                         ({"initial_offset": float("inf")}, "initial_offset"),
+                         ({"initial_offset": -float("inf")}, "initial_offset"),
+                         ({"l_mode": "constant", "l_value": float("inf")},
+                          "l_value"),
+                         ({"l_mode": "constant", "l_value": float("nan")},
+                          "l_value")):
+        with pytest.raises(ScenarioError) as err:
+            ObserverConfig(**kwargs)
+        assert err.value.field == f"observer.{name}"
+    assert ObserverConfig(L_max=float("inf")).L_max == float("inf")
 
 
 def test_from_dict_rejects_unknown_fields(desk5):

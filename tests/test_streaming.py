@@ -8,8 +8,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+import gridftc.cli
 from gridftc.cli import main
 from gridftc.desk_models import desk2_plant, desk4_plant, desk5_plant
+from gridftc.power_model import currents, derivatives
 from gridftc.sim_engine import (
     DIVERGENCE_CHECK_STEPS,
     build_report,
@@ -84,13 +86,51 @@ CASES = {
     "total-loss-merged": _scenario(
         desk5_plant(), 3.3, faults=[_fault(2.0, 5, "total-loss", 0.3)],
         settling_window=1.0),
+    # a virtual sensor, then a merged observer, while the consumer evaluates
+    # the run's own plant after every segment
+    "shared-plant-calls": _scenario(
+        desk5_plant(), 3.3, faults=[_fault(0.6, 5, "gain", 0.2, factor=0.7),
+                                    _fault(2.0, 5, "total-loss", 0.3)],
+        settling_window=1.0),
 }
 
 
+def _evaluate_plant_between_segments(monkeypatch) -> list:
+    """Make ``gridftc run`` call ``derivatives`` and ``currents`` on the
+    plant it runs after writing each segment, at the segment's last state;
+    returns the list that counts the calls."""
+    loaded, calls = [], []
+    load, write = gridftc.cli.load_scenario, gridftc.cli.write_trajectory_csv
+
+    def load_and_keep(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    def write_and_evaluate(segment, path):
+        write(segment, path)
+        plant = loaded[-1].plant
+        x = segment.x[-1] + 0.01
+        derivatives(x, plant.op.Ef0 + 0.1, plant.generators, plant.op,
+                    plant.network)
+        currents(x, plant.op, plant.network)
+        calls.append(segment.row0)
+
+    monkeypatch.setattr(gridftc.cli, "load_scenario", load_and_keep)
+    monkeypatch.setattr(gridftc.cli, "write_trajectory_csv",
+                        write_and_evaluate)
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_streamed_run_matches_dense_outputs(case, tmp_path):
+def test_streamed_run_matches_dense_outputs(case, tmp_path, monkeypatch):
     seed = 4 if case == "stuck-noise-passive" else 0
+    calls = []
+    if case == "shared-plant-calls":
+        # the run's scratch is its own: calls on the plant that every run of
+        # it shares, between the run's segments, leave its bytes alone
+        calls = _evaluate_plant_between_segments(monkeypatch)
     assert_stream_matches_dense(CASES[case], tmp_path, seed=seed)
+    assert len(calls) == (7 if case == "shared-plant-calls" else 0)
 
 
 def test_streamed_divergence_ends_csv_at_tripping_row(tmp_path):
