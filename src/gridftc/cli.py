@@ -55,27 +55,28 @@ class _CliError(Exception):
     """Input problem that maps to exit code 2."""
 
 
-def _float_arg(ok, what: str):
-    """argparse ``type`` for a float that ``ok`` accepts; anything else is a
-    usage error (exit code 2) that says the value must be ``what``."""
-    def parse(text: str) -> float:
+def _number_arg(ok, what: str, convert=float):
+    """argparse ``type`` for a number that ``convert`` parses (a float by
+    default) and ``ok`` accepts; anything else is a usage error (exit code
+    2) that says the value must be ``what``."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a number: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
     return parse
 
 
-_POSITIVE = _float_arg(lambda v: 0.0 < v < math.inf,
-                       "a positive finite number")
-_NONNEGATIVE = _float_arg(lambda v: 0.0 <= v < math.inf,
-                          "a nonnegative finite number")
-_FINITE = _float_arg(math.isfinite, "a finite number")
-_CAP = _float_arg(lambda v: not math.isnan(v), "a number or inf")
+_POSITIVE = _number_arg(lambda v: 0.0 < v < math.inf,
+                        "a positive finite number")
+_NONNEGATIVE = _number_arg(lambda v: 0.0 <= v < math.inf,
+                           "a nonnegative finite number")
+_FINITE = _number_arg(math.isfinite, "a finite number")
+_CAP = _number_arg(lambda v: not math.isnan(v), "a number or inf")
+_SEED = _number_arg(lambda v: v >= 0, "a nonnegative integer", int)
 
 
 def _out_dir(args) -> Path:
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[out_opt],
                        help="simulate a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_SEED, default=0,
                    help="seed for the measurement-noise generator")
     p.set_defaults(func=cmd_run)
 

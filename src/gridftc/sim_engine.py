@@ -95,14 +95,15 @@ angle deviation at most pi in magnitude.  The first row that fails gets a
 ``diverged`` marker, the run ends with the log cut after that row and the
 log and report carry ``diverged``; ``gridftc run`` then exits with code 3.
 
-Streamed runs
--------------
-With a ``consumer``, :func:`run_scenario` keeps one ``DIVERGENCE_CHECK_STEPS``
-block of rows instead of the dense log.  Each checked segment goes to the
-consumer as a :class:`TrajectoryLog` of its rows and to two running
-summaries, each row's max |x| and the rows sampled for the interaction
-diagnostic; then the block's rows are reused.  The report is built from
-those summaries with the same functions as from a dense log, so
+Row store and run summaries
+---------------------------
+Rows go to a row store: every row of the run without a ``consumer`` (the
+dense log), else one ``DIVERGENCE_CHECK_STEPS`` block that each checked
+segment reuses.  After each checked segment ``_Engine.emit`` adds its rows
+to the two summaries every run keeps, each row's max |x| (``peaks``) and
+the interaction diagnostic's ``samples``, then hands them to the consumer.
+A store of every row samples through the view ``log_x[::stride]``, whose
+copy onto itself numpy skips.  Reports read only the summaries, so
 ``gridftc run`` holds one block plus 8 bytes per row.
 """
 
@@ -150,14 +151,14 @@ DEFAULT_SETTLING_WINDOW = 10.0
 DEFAULT_OUTPUTS = {"trajectory": "trajectory.csv", "events": "events.json",
                    "report": "report.json"}
 # Rows between two divergence checks; event steps also end a checked segment.
-# A streamed run keeps one block of this many rows.
+# A run with a consumer keeps one block of this many rows.
 DIVERGENCE_CHECK_STEPS = 1000
 # Most rows the interaction diagnostic samples, at a stride fixed by the
 # planned row count.
 DIAG_SAMPLES = 2000
-# Rows per block in the passes made over the dense log after a run, so that
-# no pass holds more than one block-sized temporary next to the log.
-ROW_BLOCK = 4096
+# Rows per block of ``_row_peaks``, so that its |x| temporary is a fraction
+# of a checked segment.
+ROW_BLOCK = 256
 
 
 class ScenarioError(ValueError):
@@ -169,12 +170,14 @@ class ScenarioError(ValueError):
 
 
 def _number(field_name: str, value) -> float:
-    """``value`` as a float, else a :class:`ScenarioError` naming the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(field_name,
-                            f"must be a number, got {value!r}") from exc
+    """``value`` as a float, else a :class:`ScenarioError` naming the field;
+    a bool is not a number here."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(field_name, f"must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,11 @@ class Scenario:
             if f.t_fault < last:
                 raise ScenarioError("faults", "fault events must be time-ordered")
             last = f.t_fault
+            for name in ("subsystem", "sensor_row"):
+                value = getattr(f, name)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ScenarioError(f"faults[{i}].{name}",
+                                        f"must be an integer, got {value!r}")
             if not 1 <= f.subsystem <= n:
                 raise ScenarioError(f"faults[{i}].subsystem",
                                     f"subsystem {f.subsystem} outside 1..{n}")
@@ -324,9 +332,9 @@ class Scenario:
         """Build and validate a scenario from its JSON object.
 
         Fields (an unknown field or sub-key, a sub-object that is not an
-        object, a value of the wrong type and a non-finite number other
-        than ``j_max`` and ``observer.L_max`` raise :class:`ScenarioError`
-        naming it):
+        object, a value of the wrong type, true or false as a number, and a
+        non-finite number other than ``j_max`` and ``observer.L_max`` raise
+        :class:`ScenarioError` naming it):
 
         * ``plant`` (required) -- a plant JSON file, relative to
           ``base_dir`` unless absolute, or the inline object that
@@ -335,12 +343,12 @@ class Scenario:
           ``Ef0``) and an optional ``name``.
         * ``horizon``, ``dt`` (required) -- run length and grid step, s.
         * ``faults`` -- time-ordered fault events, default none; each has
-          ``t_fault``, ``subsystem`` (1-based), ``kind`` (``gain``,
-          ``stuck`` or ``total-loss``) and ``fdi_delay``, plus
-          ``sensor_row`` (default 0, a row of the machine's output map;
-          each machine measures only its angle, row 0), ``factor`` (gain
-          faults only, required there) and ``stuck_value`` (default: hold
-          the last reading).
+          ``t_fault``, ``subsystem`` (a 1-based integer), ``kind``
+          (``gain``, ``stuck`` or ``total-loss``) and ``fdi_delay``, plus
+          ``sensor_row`` (an integer, default 0, a row of the machine's
+          output map; each machine measures only its angle, row 0),
+          ``factor`` (gain faults only, required there) and
+          ``stuck_value`` (default: hold the last reading).
         * ``observer`` -- ``l_mode`` (``"self"`` or ``"constant"``, default
           ``"self"``), ``l_value`` (required and positive in constant mode;
           finite when given), ``L_max`` (at least 1, default
@@ -503,28 +511,29 @@ class EventMarker:
 
 @dataclass
 class TrajectoryLog:
-    """Dense per-step record of one run plus sparse diagnostics.
+    """Per-step record of one run plus its summaries.
 
     ``x`` and ``xhat`` are (steps, n, 3) deviation states (estimates in
     physical coordinates); ``y_meas`` is the raw post-fault deviation
     reading and ``y_used`` the signal the active observer consumed.
-    ``interactions`` and ``chain_true`` are strided samples supporting the
-    interaction-bound diagnostic.  ``diverged`` is set when the divergence
-    check ended the run early (the log then ends at the row that tripped it).
+    ``peaks`` holds each row's max |x|, and ``interactions`` and
+    ``chain_true`` are strided samples supporting the interaction-bound
+    diagnostic.  ``diverged`` is set when the divergence check ended the
+    run early (the log then ends at the row that tripped it).
 
-    A streamed run hands each checked segment to its consumer as a log of
-    that segment's rows, the first of them row ``row0`` of the run, with the
-    events so far.  The log the streamed run returns holds no rows (``t``
-    and the state arrays are None); ``peaks`` holds each row's max |x|.
+    A consumer gets each checked segment as a log of that segment's rows,
+    the first of them row ``row0`` of the run, with the events so far.  A
+    run's returned log holds its rows only when its row store held every
+    row; otherwise ``t`` and the row arrays are None.
     """
 
     scenario_name: str
-    t: Optional[np.ndarray]
-    x: Optional[np.ndarray]
-    xhat: Optional[np.ndarray]
-    y_meas: Optional[np.ndarray]
-    y_used: Optional[np.ndarray]
-    L: Optional[np.ndarray]
+    t: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    xhat: Optional[np.ndarray] = None
+    y_meas: Optional[np.ndarray] = None
+    y_used: Optional[np.ndarray] = None
+    L: Optional[np.ndarray] = None
     events: list = field(default_factory=list)
     plans: list = field(default_factory=list)        # (t, ReconfigPlan)
     interactions: Optional[np.ndarray] = None
@@ -712,11 +721,10 @@ class _Engine:
     """One run: its constants, its log and the small state that the step
     kernel :meth:`advance` carries from row to row.
 
-    The log arrays hold every row of the run, or for a ``streamed`` run one
-    ``DIVERGENCE_CHECK_STEPS`` block: row k sits at ``k - base``, where
-    ``base`` is 0, or k rounded down to a block edge when streamed.  A
-    streamed run also keeps ``peaks``, each row's max |x|, and ``samples``,
-    the rows on the interaction diagnostic's stride.
+    The log arrays are a row store of ``held`` rows, every row of the run or
+    fewer: row k sits at ``k - base(k)``.  Every run also keeps ``peaks``,
+    each row's max |x|, and ``samples``, the rows on the interaction
+    diagnostic's stride, a view of the store when it holds every row.
 
     ``x`` (plant deviations) and ``Z`` (nominal chain states) are
     state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
@@ -728,7 +736,7 @@ class _Engine:
     ``ws`` is the run's :class:`_Workspace`.
     """
 
-    def __init__(self, scn: Scenario, seed: int, streamed: bool = False):
+    def __init__(self, scn: Scenario, seed: int, held: int):
         plant = scn.plant
         n = self.n = plant.n
         self.scn = scn
@@ -770,14 +778,12 @@ class _Engine:
         self.frozen = np.zeros(n, dtype=bool)
         self.merged: Optional[_MergedObserver] = None
 
-        rows = held = self.n_steps + 1
-        self.streamed = streamed
+        rows = self.n_steps + 1
         self.stride = _diag_stride(rows)
-        if streamed:
-            self.peaks = np.empty(rows)
-            self.samples = np.empty((-(-rows // self.stride), n, N_STATES))
-            held = min(rows, DIVERGENCE_CHECK_STEPS)
+        self.peaks = np.empty(rows)
         self.log_x = np.empty((held, n, N_STATES))
+        self.samples = (self.log_x[::self.stride] if held == rows else
+                        np.empty((-(-rows // self.stride), n, N_STATES)))
         self.log_xhat = np.empty((held, n, N_STATES))
         self.log_ymeas = np.empty((held, n))
         self.log_yused = np.empty((held, n))
@@ -788,9 +794,9 @@ class _Engine:
         self.diverged = False
 
     def base(self, k0: int) -> int:
-        """Index of row 0 of the log arrays holding row ``k0``: rows of one
-        checked segment never straddle a block edge."""
-        return k0 - k0 % DIVERGENCE_CHECK_STEPS if self.streamed else 0
+        """Run row held at index 0 of the row store that holds row ``k0``;
+        the rows of one checked segment never straddle a store edge."""
+        return k0 - k0 % len(self.log_x)
 
     def advance(self, k0: int, k_end: int) -> None:
         """Log rows ``k0 .. k_end - 1`` and integrate from each of them to
@@ -1004,36 +1010,37 @@ class _Engine:
             unrecoverable=self.unrecoverable, diverged=self.diverged, row0=k0)
 
     def emit(self, k0: int, k1: int, consumer) -> None:
-        """Add the checked rows ``k0 .. k1 - 1`` of a streamed run to the
-        row peaks and the diagnostic samples, then hand them to
-        ``consumer``."""
-        seg = self.segment(k0, k1)
-        _row_peaks(seg.x, out=self.peaks[k0:k1])
+        """Add the checked rows ``k0 .. k1 - 1`` to the row peaks and the
+        diagnostic samples, then hand them to ``consumer`` if there is one.
+
+        When ``samples`` views the store, the sample copy writes rows onto
+        themselves with the same pointer and strides, which numpy skips."""
+        base = self.base(k0)
+        x = self.log_x[k0 - base:k1 - base]
+        _row_peaks(x, out=self.peaks[k0:k1])
         s = self.stride
         j0, j1 = -(-k0 // s), -(-k1 // s)   # samples of rows k0 .. k1 - 1
-        self.samples[j0:j1] = seg.x[j0 * s - k0::s]
-        consumer(seg)
+        self.samples[j0:j1] = x[j0 * s - k0::s]
+        if consumer is not None:
+            consumer(self.segment(k0, k1))
 
     def finish(self, rows: int) -> TrajectoryLog:
-        """The run's log, cut after ``rows`` rows."""
-        if self.streamed:
-            log = TrajectoryLog(
-                scenario_name=self.scn.name, t=None, x=None, xhat=None,
-                y_meas=None, y_used=None, L=None, events=self.events,
-                plans=self.plans, unrecoverable=self.unrecoverable,
-                diverged=self.diverged, peaks=self.peaks[:rows])
-            sampled = self.samples[:-(-rows // self.stride)]
-        else:
-            log = self.segment(0, rows)
-            sampled = log.x[::self.stride]
-        _attach_interaction_diagnostics(log, self.lin, self.Tn, sampled,
-                                        self.stride)
+        """The run's summaries, cut after ``rows`` rows, with ``t`` and the
+        row arrays when the row store holds every row."""
+        log = (self.segment(0, rows) if len(self.log_x) > self.n_steps else
+               TrajectoryLog(self.scn.name, events=self.events,
+                             plans=self.plans, diverged=self.diverged,
+                             unrecoverable=self.unrecoverable))
+        log.peaks = self.peaks[:rows]
+        _attach_interaction_diagnostics(
+            log, self.lin, self.Tn, self.samples[:-(-rows // self.stride)],
+            self.stride)
         return log
 
 
 def run_scenario(scn: Scenario, seed: int = 0,
                  consumer=None) -> TrajectoryLog:
-    """Execute one scenario on the shared RK4 grid and return the dense log.
+    """Execute one scenario on the shared RK4 grid and return its log.
 
     The step-k row logs the state, estimates, consumed measurements and
     gains at t = k*dt before that step's integration.  Fault activations
@@ -1045,15 +1052,19 @@ def run_scenario(scn: Scenario, seed: int = 0,
     divergence check runs on the rows just logged; a trip ends the run with
     the ``diverged`` flag set and the log cut after the row that tripped.
 
-    With a ``consumer`` the run is streamed: each checked segment, cut after
-    a row that tripped, is passed to ``consumer(segment)`` as a
-    :class:`TrajectoryLog` of its rows (views that the next segment
-    overwrites), and the returned log holds no rows, only their ``peaks``
-    and the summaries that :func:`build_report` reads.
+    Without a ``consumer`` the row store holds every row and the returned
+    log carries them.  With one, the store holds one
+    ``DIVERGENCE_CHECK_STEPS`` block: each checked segment, cut after a row
+    that tripped, is passed to ``consumer(segment)`` as a
+    :class:`TrajectoryLog` of its rows (views that the next segment may
+    overwrite), and the returned log holds rows only if the run fits in one
+    block.  Either way it carries the ``peaks`` and the summaries that
+    :func:`build_report` reads.
     """
     scn.validate()
-    eng = _Engine(scn, seed, streamed=consumer is not None)
-    rows = eng.n_steps + 1
+    rows = int(round(scn.horizon / scn.dt)) + 1
+    eng = _Engine(scn, seed, rows if consumer is None
+                  else min(rows, DIVERGENCE_CHECK_STEPS))
     k = 0
     for step, phase, i in _timeline(scn, eng.n_steps) + [(rows, None, None)]:
         while k < step:
@@ -1065,8 +1076,7 @@ def run_scenario(scn: Scenario, seed: int = 0,
             tripped = eng.check(k, k_end)
             if tripped is not None:
                 k_end = tripped + 1
-            if consumer is not None:
-                eng.emit(k, k_end, consumer)
+            eng.emit(k, k_end, consumer)
             if tripped is not None:
                 return eng.finish(k_end)
             k = k_end
@@ -1122,41 +1132,27 @@ def _row_peaks(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-class _GridTimes:
-    """The times ``k * dt`` of rows ``0 .. rows - 1`` as a sequence, equal
-    to ``np.arange(rows) * dt`` without the array."""
-
-    def __init__(self, rows: int, dt: float):
-        self.rows, self.dt = rows, dt
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def __getitem__(self, k: int) -> float:
-        return k * self.dt
-
-
 def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
-    """Per-fault recovery verdicts from each row's max |x|.
+    """Per-fault recovery verdicts from each row's max |x|, ``log.peaks``,
+    on the grid times ``k * scn.dt``.
 
-    The row peaks are the streamed run's ``peaks``, or are taken from the
-    dense state log.  For each fault the window runs to the next fault (or
-    the horizon); the verdict is "recovered" when the deviation
-    infinity-norm over the window's final settling-window stretch stays
-    below 5 % of the window peak.  A window that a divergence verdict cut
-    short reads "diverged", and a fault diagnosed as unrecoverable reads
-    "unrecoverable".  The row times must be sorted; a window is the rows
-    with ``t_start <= t <= t_end``.
+    For each fault the window runs to the next fault (or the log's last
+    row); the verdict is "recovered" when the deviation infinity-norm over
+    the window's final settling-window stretch stays below 5 % of the window
+    peak.  A window that a divergence verdict cut short reads "diverged",
+    and a fault diagnosed as unrecoverable reads "unrecoverable".  A window
+    is the rows with ``t_start <= t <= t_end``.
     """
     out = []
-    if log.peaks is None:
-        dev, t = _row_peaks(log.x), log.t
-    else:
-        dev, t = log.peaks, _GridTimes(len(log.peaks), scn.dt)
-    t_last = t[len(t) - 1]
+    dev, rows = log.peaks, range(len(log.peaks))
+    t_last = (len(dev) - 1) * scn.dt
+
+    def t(k):
+        return k * scn.dt
 
     def rows_between(t0, t1):
-        return dev[bisect.bisect_left(t, t0):bisect.bisect_right(t, t1)]
+        return dev[bisect.bisect_left(rows, t0, key=t):
+                   bisect.bisect_right(rows, t1, key=t)]
 
     fault_times = [f.t_fault for f in scn.faults]
     for i, f in enumerate(scn.faults):

@@ -98,7 +98,12 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
             (fault(factor=math.inf), "faults[0].factor"),
             (fault(factor="x"), "faults[0].factor"),
             (fault(kind="stuck", factor=None, stuck_value=math.nan),
-             "faults[0].stuck_value")]:
+             "faults[0].stuck_value"),
+            (fault(subsystem=1.5), "faults[0].subsystem"),
+            (fault(subsystem=True), "faults[0].subsystem"),
+            (fault(sensor_row=0.0), "faults[0].sensor_row"),
+            (fault(factor=True), "faults[0].factor"),
+            ({"horizon": True}, "horizon")]:
         d = json.loads(scn_path.read_text())
         d.update(update)
         bad = tmp_path / "bad.json"
@@ -265,6 +270,8 @@ def test_bad_fault_kind_is_an_argparse_error(desk5_plant_path):
     ["plan", "--fault", "gain", "--subsystem", "5", "--factor", "nan"],
     ["plan", "--fault", "gain", "--subsystem", "5", "--factor", "inf"],
     ["plan", "--fault", "total-loss", "--subsystem", "5", "--j-max", "nan"],
+    ["run", "--seed", "-1"],
+    ["run", "--seed", "1.5"],
 ])
 def test_fault_options_reject_bad_numbers(desk5_plant_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

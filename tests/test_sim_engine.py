@@ -28,6 +28,7 @@ from gridftc.sim_engine import (
     _attach_interaction_diagnostics,
     _diag_stride,
     _grid_index,
+    _row_peaks,
     build_report,
     load_scenario,
     measure,
@@ -407,7 +408,8 @@ def synthetic_log(profile, plans=()):
     zeros = np.zeros((t.size, 1))
     return TrajectoryLog(scenario_name="synthetic", t=t, x=x,
                          xhat=np.zeros_like(x), y_meas=zeros, y_used=zeros,
-                         L=np.ones((t.size, 1)), plans=list(plans))
+                         L=np.ones((t.size, 1)), plans=list(plans),
+                         peaks=_row_peaks(x))
 
 
 def test_recovery_summary_verdicts(desk2):
@@ -456,7 +458,8 @@ def blocked_log(rows, edit=None, diverged=False, plans=()):
     return TrajectoryLog(scenario_name="blocked", t=np.arange(rows) * 1.0,
                          x=x, xhat=np.zeros_like(x), y_meas=zeros,
                          y_used=zeros, L=np.ones((rows, 2)),
-                         plans=list(plans), diverged=diverged)
+                         plans=list(plans), diverged=diverged,
+                         peaks=_row_peaks(x))
 
 
 def faults_at(*times, settling=100.0):
@@ -464,7 +467,7 @@ def faults_at(*times, settling=100.0):
         faults=[FaultEvent(t_fault=float(t), subsystem=1 + k % 2,
                            kind="total-loss", fdi_delay=0.5)
                 for k, t in enumerate(times)],
-        settling_window=settling)
+        settling_window=settling, dt=1.0)
 
 
 def _nonfinite(x):
@@ -536,7 +539,7 @@ def test_build_report_memory_stays_within_blocks(desk5):
                         y_meas=zeros, y_used=zeros, L=zeros,
                         interactions=rng.normal(size=(2000, n, 3)),
                         chain_true=rng.normal(size=(2000, n, 3)),
-                        diag_stride=100)
+                        diag_stride=100, peaks=_row_peaks(x))
     scn = Scenario(plant=desk5, horizon=200.0, dt=1e-3, name="memory",
                    faults=(FaultEvent(t_fault=100.0, subsystem=5,
                                       kind="total-loss", fdi_delay=1.0),

@@ -4,7 +4,9 @@ dense log's."""
 
 import json
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +16,7 @@ from gridftc.desk_models import desk2_plant, desk4_plant, desk5_plant
 from gridftc.power_model import currents, derivatives
 from gridftc.sim_engine import (
     DIVERGENCE_CHECK_STEPS,
+    Scenario,
     build_report,
     load_scenario,
     run_scenario,
@@ -45,14 +48,21 @@ def _masked(report_bytes: bytes) -> bytes:
 
 def assert_stream_matches_dense(scn_dict, tmp_path, seed=0):
     """``gridftc run`` writes the bytes that the dense log gives through the
-    library writers, ``wall_time_s`` aside; returns the run's exit code and
-    its scenario."""
+    library writers, ``wall_time_s`` aside, and both runs return the same
+    summaries; returns the run's exit code and its scenario."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scn_dict))
     streamed, dense = tmp_path / "streamed", tmp_path / "dense"
     dense.mkdir()
-    code = main(["run", str(path), "--out", str(streamed), "--seed",
-                 str(seed)])
+    returned = []
+
+    def run_and_keep(*args, **kwargs):
+        returned.append(run_scenario(*args, **kwargs))
+        return returned[-1]
+
+    with mock.patch.object(gridftc.cli, "run_scenario", run_and_keep):
+        code = main(["run", str(path), "--out", str(streamed), "--seed",
+                     str(seed)])
 
     scn = load_scenario(path)
     log = run_scenario(scn, seed=seed)
@@ -69,6 +79,11 @@ def assert_stream_matches_dense(scn_dict, tmp_path, seed=0):
                 == (dense / names[key]).read_bytes()), key
     assert (_masked((streamed / names["report"]).read_bytes())
             == (dense / names["report"]).read_bytes())
+    for key in ("peaks", "interactions", "chain_true"):
+        got, want = getattr(returned[0], key), getattr(log, key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+    assert (log.peaks.tobytes()
+            == np.max(np.abs(log.x), axis=(1, 2)).tobytes())
     return code, scn
 
 
@@ -184,3 +199,25 @@ def test_run_memory_grows_by_row_peaks_only(tmp_path, capsys):
     dense_log = (1 + 9 * desk5_plant().n) * 8 * long
     assert peak_long < dense_log / 4, \
         f"traced peak {peak_long} B, dense log {dense_log} B"
+
+
+def test_dense_run_memory_is_its_rows_and_summaries():
+    """A dense run holds its rows (``t`` and nine doubles per machine), 8
+    bytes of row peaks per row and the two interaction arrays, plus a slack
+    for set-up and scratch: no copy of the diagnostic's samples and no
+    second block of rows.  At 3,001 rows the stride is 1, so either would
+    add 360 kB."""
+    scn = Scenario.from_dict(_scenario(desk5_plant(), 3.0))
+    run_scenario(scn)       # one-time imports and caches, untraced
+    tracemalloc.start()
+    try:
+        log = run_scenario(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows, n = log.x.shape[:2]
+    assert log.diag_stride == 1
+    # the slack: about 26 kB traced here, against 360 kB for either waste
+    bound = ((1 + 9 * n) * 8 * rows + 8 * rows + log.interactions.nbytes
+             + log.chain_true.nbytes + 128_000)
+    assert peak < bound, f"traced peak {peak} B, bound {bound} B"
