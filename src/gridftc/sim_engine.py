@@ -14,8 +14,8 @@ Measurement convention
 Sensors report absolute rotor angles; the loop works in deviation
 coordinates, so every consumed measurement is the absolute reading minus
 the operating-point reference.  A healthy sensor thus yields the angle
-deviation exactly, while :func:`measure` applies the fault transforms to
-the absolute signal:
+deviation exactly, while the active faults transform the absolute signal,
+in the order they started (:func:`reading_map`):
 
 * ``gain``       -- the reading is scaled, which injects the constant bias
   ``(factor - 1) * reference`` on top of a scaled deviation;
@@ -58,8 +58,8 @@ Engine: event segments and state-major layout
 steps (activations before diagnoses at one step) and runs one fixed kernel,
 ``_Engine.advance``, on the rows between them; only the events change the
 configuration (active faults, virtual-sensor gains, frozen nominal
-observers, the merged observer), and :func:`measure` runs only while a fault
-is active.  The plant state and the nominal bank's chain states are
+observers, the merged observer), so each segment's rows apply one
+:func:`reading_map`.  The plant state and the nominal bank's chain states are
 state-major, (3, n), so each component is one contiguous row, and both RK4
 steps sum their stages in place; the logs keep the (rows, n, 3) layout.
 The kernel calls the plant right-hand side and the chain-observer step
@@ -74,11 +74,11 @@ the bank's gains, input term and innovation, the gain law's ``L * L``, the
 decoded estimates, the controller's product and inputs, and a spare ``Z``
 and ``Lg``.  The merged observer holds the same for its chain.  The step
 calls every ufunc with its output in a buffer, on row views built once,
-with its float constants as 0-d arrays; it allocates no array data except
-the new array that ``measure`` returns while a fault is active.  Every ufunc
-keeps the operands and the order of the allocating form, so the bits do
-not depend on the buffers.  The scratch belongs to the run, never to the
-plant's cached RHS constants, which every run of a plant shares.
+with its float constants as 0-d arrays; it allocates no array data, in a
+fault window or out of one.  Every ufunc keeps the operands and the order
+of the allocating form, so the bits do not depend on the buffers.  The
+scratch belongs to the run, never to the plant's cached RHS constants,
+which every run of a plant shares.
 
 Aliasing rule: a step writes the spare chain state and gains (``Z``/``Lg``
 and the merged observer's ``z``/``L``), then the pairs swap, and a run's
@@ -112,7 +112,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -171,11 +172,12 @@ class ScenarioError(ValueError):
 
 def _number(field_name: str, value) -> float:
     """``value`` as a float, else a :class:`ScenarioError` naming the field;
-    a bool is not a number here."""
-    if not isinstance(value, bool):
+    only a real number counts, a numpy scalar too but not a bool or a
+    string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except OverflowError:       # an integer past the float range
             pass
     raise ScenarioError(field_name, f"must be a number, got {value!r}")
 
@@ -332,9 +334,9 @@ class Scenario:
         """Build and validate a scenario from its JSON object.
 
         Fields (an unknown field or sub-key, a sub-object that is not an
-        object, a value of the wrong type, true or false as a number, and a
-        non-finite number other than ``j_max`` and ``observer.L_max`` raise
-        :class:`ScenarioError` naming it):
+        object, a value of the wrong type, a string or true or false as a
+        number, and a non-finite number other than ``j_max`` and
+        ``observer.L_max`` raise :class:`ScenarioError` naming it):
 
         * ``plant`` (required) -- a plant JSON file, relative to
           ``base_dir`` unless absolute, or the inline object that
@@ -504,9 +506,7 @@ class EventMarker:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "step": self.step, "kind": self.kind,
-                "subsystem": self.subsystem, "label": self.label,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -559,40 +559,43 @@ class RunReport:
     diverged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "wall_time_s": self.wall_time_s,
-            "events": self.events,
-            "recovery": self.recovery,
-            "interaction_bounds": self.interaction_bounds,
-            "outputs": self.outputs,
-            "unrecoverable": self.unrecoverable,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
 
-def measure(readings, active: Sequence[tuple] = ()) -> np.ndarray:
-    """Absolute sensor readings as the faulty sensors report them.
-
-    ``readings`` holds the healthy absolute angle reading of every
-    subsystem and ``active`` the active faults as ``(FaultEvent, held)``
-    pairs, applied in order: a gain fault scales the reading, a stuck fault
-    replaces it with ``held`` and a total loss reads 0.  A gain fault listed
-    twice scales twice.  Returns a new array.
+def reading_map(active: Sequence[tuple], vs_gain: dict,
+                y_ref: np.ndarray) -> tuple:
+    """The faults ``active``, ``(FaultEvent, held)`` pairs applied in order,
+    and the virtual-sensor gains ``vs_gain`` (by 0-based machine) as
+    ``(scales, fixed, vs)``, which each row of a segment applies in turn:
+    the (n,) gain layers, a multiply each, so y f1 f2 and not y (f1 f2);
+    None or the indices and values written over stuck (``held``) and dead
+    (0.0) readings, times their later gains; None or ``(off, div)``, where
+    ``(y_abs - off) / div`` is each consumed reading: ``(y - f y_ref) / f``
+    at a virtual sensor of gain ``f``, exactly ``y - y_ref`` elsewhere.
     """
-    y = np.array(readings, dtype=float)
-    if y.ndim != 1:
-        raise ValueError(f"readings shape {y.shape} is not one reading per "
-                         "subsystem")
+    n, gains, const = len(y_ref), {}, {}
     for f, held in active:
         i = f.subsystem - 1
-        if f.kind == "gain":
-            y[i] *= f.factor
-        elif f.kind == "stuck":
-            y[i] = held
-        else:  # total-loss
-            y[i] = 0.0
-    return y
+        if f.kind != "gain":
+            const[i] = float(held) if f.kind == "stuck" else 0.0
+            gains.pop(i, None)
+        elif i in const:
+            const[i] *= float(f.factor)
+        else:
+            gains.setdefault(i, []).append(f.factor)
+    scales = [np.ones(n) for _ in range(max(map(len, gains.values()),
+                                            default=0))]
+    for i, factors in gains.items():
+        for scale, factor in zip(scales, factors):
+            scale[i] = factor
+    fixed = vs = None
+    if const:
+        fixed = np.array(list(const)), np.array(list(const.values()))
+    if vs_gain:
+        vs = y_ref.copy(), np.ones(n)
+        for i, factor in vs_gain.items():
+            vs[0][i], vs[1][i] = factor * y_ref[i], factor
+    return scales, fixed, vs
 
 
 def _grid_index(t: float, dt: float) -> int:
@@ -685,10 +688,9 @@ class _Workspace:
     scratch.  Bank: the chain-step scratch, the gains ``a_k L^k``, the input
     term, the innovation, the gain law's ``L * L`` and the spare ``Z`` and
     ``Lg`` that each step writes before the two pairs swap.  Rows: the
-    readings, the noise, the consumed readings, the virtual sensors'
-    readings, the decoded estimates (``xhat3`` is the (n, 3, 1) product
-    ``Tn_inv @ Z.T[..., None]`` and ``xhat`` its (n, 3) view) and the
-    controller's product and inputs.
+    readings, the noise, the deviations, the consumed readings, the decoded
+    estimates (``xhat3`` is the (n, 3, 1) product ``Tn_inv @ Z.T[..., None]``
+    and ``xhat`` its (n, 3) view) and the controller's product and inputs.
     """
 
     def __init__(self, n: int):
@@ -709,7 +711,6 @@ class _Workspace:
         self.noise = np.empty(n)
         self.y_dev = np.empty(n)
         self.y_used = np.empty(n)
-        self.vs_y = np.empty(n)
         self.xhat3 = np.empty((n, N_STATES, 1))
         self.xhat = self.xhat3[..., 0]
         self.Kx = np.empty((n, N_STATES))
@@ -730,9 +731,10 @@ class _Engine:
     state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
     last absolute readings, from which a stuck sensor holds.  Between two
     events the rest is fixed: ``active`` lists the active faults as
-    ``(FaultEvent, held)`` pairs, ``vs_gain`` maps a 0-based subsystem to
-    its virtual-sensor gain, ``frozen`` masks the subsystems whose nominal
-    observer is switched off and ``merged`` is the augmented-set observer.
+    ``(FaultEvent, held)`` pairs and ``vs_gain`` maps a 0-based subsystem
+    to its virtual-sensor gain, for :func:`reading_map`; ``frozen`` masks
+    the subsystems whose nominal observer is switched off and ``merged`` is
+    the augmented-set observer.
     ``ws`` is the run's :class:`_Workspace`.
     """
 
@@ -803,11 +805,12 @@ class _Engine:
         the next (the run's last row is only logged), in the configuration
         set by the events so far.
 
-        ``measure`` runs only while a fault is active.  The plant and the
-        bank go through the module globals ``_rhs_core`` and ``_rk4_chain``
-        and the RK4 stages of the plant are summed in place, in the order
-        ``x + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.  Every temporary is a
-        buffer of the run's :class:`_Workspace` or of the merged observer.
+        Each row applies the segment's :func:`reading_map`, each part only
+        when it is not empty.  The plant and the bank go through the module
+        globals ``_rhs_core`` and ``_rk4_chain`` and the RK4 stages of the
+        plant are summed in place, in the order ``x + (dt/6) ((k1 + 2 (k2 +
+        k3)) + k4)``.  Every temporary is a buffer of the run's
+        :class:`_Workspace` or of the merged observer.
         """
         dt, last, ws = self.dt, self.n_steps, self.ws
         # step constants as 0-d arrays, which ufuncs take faster than floats
@@ -821,7 +824,7 @@ class _Engine:
         coeffs, powers, ICn = self.coeffs, self.powers, self.ICn
         rhs_k, l_const, rng = self.rhs_k, self.l_const, self.rng
         noisy = self.scn.noise_amplitude > 0.0
-        active, merged = self.active, self.merged
+        merged = self.merged
         frozen = self.frozen if self.frozen.any() else None
         k1, k2, k3, k4 = ws.k
         s, s_rows, k_rows = ws.s, ws.s_rows, ws.k_rows
@@ -834,41 +837,35 @@ class _Engine:
         # writes the spare, then the two swap
         cur, nxt = [(Z, Z[0], Z.T[..., None], Lg) for Z, Lg in
                     ((self.Z, self.Lg), (ws.Z_spare, ws.Lg_spare))]
-        vs_idx = None
-        if self.vs_gain:
-            vs_idx = np.array(sorted(self.vs_gain))
-            vs_f = np.array([self.vs_gain[i] for i in vs_idx])
-            vs_fy = vs_f * y_ref[vs_idx]
-            vs_y = ws.vs_y[:len(vs_idx)]
+        scales, fixed, vs = reading_map(self.active, self.vs_gain, y_ref)
+        put, (fix_idx, fix_val) = ya.put, fixed or (None, None)
+        vs_off, vs_div = vs or (None, None)
         if merged is not None:
             fid, m_head = merged.idx[0], merged.head
         log_x, log_xhat, log_L = self.log_x, self.log_xhat, self.log_L
         log_ymeas, log_yused = self.log_ymeas, self.log_yused
         base = self.base(k0)
 
-        y_abs = self.y_abs
+        y_used = y_dev if vs is None else yu
         for k in range(k0, k_end):
             r = k - base
             Z, Z0, ZT, Lg = cur
             # --- measurement and estimates at the step start -----------------
-            y_abs = add(y_ref, x0, ya)
+            add(y_ref, x0, ya)
             if noisy:
                 rng.random(out=noise)
                 multiply(two, noise, noise)
                 subtract(noise, one, noise)
                 multiply(noise_amp, noise, noise)
-                add(y_abs, noise, y_abs)
-            if active:
-                y_abs = measure(y_abs, active)
-            subtract(y_abs, y_ref, y_dev)
-            y_used = y_dev
-            if vs_idx is not None:
-                y_used = yu
-                np.copyto(yu, y_dev)
-                y_abs.take(vs_idx, None, vs_y, "clip")     # see merged step
-                subtract(vs_y, vs_fy, vs_y)
-                np.divide(vs_y, vs_f, vs_y)
-                yu[vs_idx] = vs_y
+                add(ya, noise, ya)
+            for scale in scales:
+                multiply(ya, scale, ya)
+            if fixed is not None:
+                put(fix_idx, fix_val)
+            subtract(ya, y_ref, y_dev)
+            if vs is not None:
+                subtract(ya, vs_off, yu)
+                np.divide(yu, vs_div, yu)
             matmul(Tn_inv, ZT, xhat3)
             log_L[r] = Lg
             if merged is not None:
@@ -931,7 +928,7 @@ class _Engine:
             add(x, k2, x)
         self.Z, self.Lg = cur[0], cur[3]
         ws.Z_spare, ws.Lg_spare = nxt[0], nxt[3]
-        self.y_abs = y_abs
+        self.y_abs = ya
 
     def check(self, k0: int, k_end: int) -> bool:
         """Divergence verdict on rows ``k0 .. k_end - 1``.

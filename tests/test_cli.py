@@ -103,7 +103,13 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
             (fault(subsystem=True), "faults[0].subsystem"),
             (fault(sensor_row=0.0), "faults[0].sensor_row"),
             (fault(factor=True), "faults[0].factor"),
-            ({"horizon": True}, "horizon")]:
+            ({"horizon": True}, "horizon"),
+            (fault(factor="0.4"), "faults[0].factor"),
+            (fault(kind="stuck", factor=None, stuck_value="0.5"),
+             "faults[0].stuck_value"),
+            ({"horizon": "20"}, "horizon"),
+            ({"j_max": "20"}, "j_max"),
+            ({"horizon": 10 ** 400}, "horizon")]:
         d = json.loads(scn_path.read_text())
         d.update(update)
         bad = tmp_path / "bad.json"

@@ -31,7 +31,7 @@ from gridftc.sim_engine import (
     _row_peaks,
     build_report,
     load_scenario,
-    measure,
+    reading_map,
     recovery_summary,
     run_scenario,
     write_events_json,
@@ -244,31 +244,72 @@ def test_dict_round_trip(desk5):
 # ------------------------------------------------------------ output map
 
 
-def test_measure_plain_and_faulted(rng):
-    y = rng.uniform(0.1, 1.0, 3)
-    out = measure(y)
-    assert np.array_equal(out, y) and out is not y
+def _read(rmap, y_abs, y_ref):
+    """The reported readings and the consumed signal of one row, applied as
+    ``_Engine.advance`` applies the reading map ``rmap``."""
+    scales, fixed, vs = rmap
+    y = y_abs.copy()
+    for scale in scales:
+        np.multiply(y, scale, y)
+    if fixed is not None:
+        y.put(*fixed)
+    return y, (y - y_ref if vs is None else (y - vs[0]) / vs[1])
 
-    gain = FaultEvent(t_fault=0.0, subsystem=2, kind="gain", factor=0.5,
-                      fdi_delay=0.0)
-    out = measure(y, [(gain, None)])
-    assert out[1] == 0.5 * y[1] and out[0] == y[0] and out[2] == y[2]
+
+def test_reading_map_plain_and_faulted(rng):
+    y_ref, y = rng.uniform(0.1, 1.0, (2, 4))
+    f1, f2 = 0.7, 1.3
+    # a reading where scaling twice and scaling by the product differ
+    while (y[1] * f1) * f2 == y[1] * (f1 * f2):
+        y[1] = rng.uniform(0.1, 1.0)
+
+    def event(sub, kind, factor=None):
+        return FaultEvent(t_fault=0.0, subsystem=sub, kind=kind,
+                          factor=factor, fdi_delay=0.0)
+
+    def read(active, vs_gain=None):
+        rmap = reading_map(active, vs_gain or {}, y_ref)
+        out, used = _read(rmap, y, y_ref)
+        # bit for bit the faults applied one by one, in order
+        assert out.tobytes() == orc._measure_rows(y, active).tobytes()
+        return rmap, out, used
+
+    rmap, out, used = read([])
+    assert rmap == ([], None, None)     # a healthy row applies nothing
+    assert np.array_equal(out, y) and np.array_equal(used, y - y_ref)
+
+    gain, twice = event(2, "gain", f1), event(2, "gain", f2)
+    _, out, _ = read([(gain, None)])
+    assert out[1] == f1 * y[1] and out[0] == y[0] and out[2] == y[2]
+    # two gains are two layers: y f1 f2, not y (f1 f2)
+    rmap, out, _ = read([(gain, None), (twice, None)])
+    assert len(rmap[0]) == 2 and out[1] == (y[1] * f1) * f2
     # equal events hash alike, yet each listed pair applies once more
-    twice = FaultEvent(t_fault=0.0, subsystem=2, kind="gain", factor=0.5,
-                       fdi_delay=0.0)
-    assert twice == gain
-    assert measure(y, [(gain, None), (twice, None)])[1] == y[1] * 0.5 * 0.5
+    again = event(2, "gain", f1)
+    assert again == gain
+    assert read([(gain, None), (again, None)])[1][1] == (y[1] * f1) * f1
 
-    stuck = FaultEvent(t_fault=0.0, subsystem=1, kind="stuck", fdi_delay=0.0)
-    assert measure(y, [(stuck, 0.77)])[0] == 0.77
+    stuck = event(1, "stuck")
+    assert read([(stuck, 0.77)])[1][0] == 0.77
+    dead = event(3, "total-loss")
+    _, out, _ = read([(gain, None), (dead, y[2])])
+    assert out[2] == 0.0 and out[1] == f1 * y[1]
 
-    dead = FaultEvent(t_fault=0.0, subsystem=3, kind="total-loss",
-                      fdi_delay=0.0)
-    out = measure(y, [(gain, None), (dead, y[2])])
-    assert out[2] == 0.0 and out[1] == 0.5 * y[1]
+    # gain -> stuck -> gain on one machine: the held reading times the later
+    # gain, written over the reading, so a non-finite one cannot leak in
+    late = event(1, "gain", f2)
+    active = [(event(1, "gain", f1), None), (stuck, 0.77), (late, None)]
+    rmap, out, _ = read(active)
+    assert rmap[0] == [] and out[0] == 0.77 * f2
+    y[0] = np.nan
+    assert _read(rmap, y, y_ref)[0][0] == 0.77 * f2
 
-    with pytest.raises(ValueError, match="shape"):
-        measure(np.zeros((3, 2)))
+    # the virtual-sensor correction: (y - f ref) / f at its machine, the
+    # deviation itself, bit for bit, everywhere else
+    _, out, used = read([(gain, None)], {1: f1})
+    assert used[1] == (out[1] - f1 * y_ref[1]) / f1
+    dev = out - y_ref
+    assert used[[0, 2, 3]].tobytes() == dev[[0, 2, 3]].tobytes()
 
 
 def test_grid_index_rounding():
