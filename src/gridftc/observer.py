@@ -178,30 +178,28 @@ def interaction_bound_estimate(traj, min_activity: float = 1e-9) -> np.ndarray:
 
     For each chain row k the disturbance magnitude |I_ik| is assumed bounded
     by a constant times the sum of |z_jl| over every subsystem j and chain
-    index l <= k.  This scans a trajectory's logged interaction terms and true
-    chain states and returns, per row, the largest observed ratio.  Samples
-    where the bound's right-hand side is below ``min_activity`` are skipped.
+    index l <= k.  This scans a trajectory's sampled interaction reductions
+    and returns, per row, the largest observed ratio.  Samples where the
+    bound's right-hand side is below ``min_activity`` are skipped.
 
-    ``traj`` must expose ``interactions`` (samples, n_sub, n_chain) and
-    ``chain_true`` with the same shape.
+    ``traj`` must expose ``interaction_peak`` (samples, n_chain), the max
+    over subsystems of |I_ik|, and ``chain_activity`` with the same shape,
+    the right-hand side's sum; a run's log carries both.
     """
-    inter = getattr(traj, "interactions", None)
-    z_true = getattr(traj, "chain_true", None)
-    if inter is None or z_true is None or len(inter) == 0:
+    peak = getattr(traj, "interaction_peak", None)
+    rhs = getattr(traj, "chain_activity", None)
+    if peak is None or rhs is None or len(peak) == 0:
         raise ValueError(
-            "trajectory carries no interaction diagnostics (interactions and "
-            "chain_true); pass the log that run_scenario returns"
+            "trajectory carries no interaction diagnostics (interaction_peak "
+            "and chain_activity); pass the log that run_scenario returns"
         )
-    inter = np.asarray(inter, dtype=float)
-    z_true = np.asarray(z_true, dtype=float)
-    if inter.shape != z_true.shape:
+    peak = np.asarray(peak, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if peak.shape != rhs.shape:
         raise ValueError(
-            f"interaction log shape {inter.shape} != chain state log {z_true.shape}"
+            f"interaction peak shape {peak.shape} != chain activity {rhs.shape}"
         )
-    n_chain = inter.shape[2]
-    # rhs[s, k] = sum over subsystems of |z_1..z_k|, cumulative in k
-    rhs = np.cumsum(np.sum(np.abs(z_true), axis=1), axis=1)
-    peak = np.abs(inter).max(axis=1)  # worst subsystem per sample and row
+    n_chain = peak.shape[1]
     out = np.zeros(n_chain)
     for k in range(n_chain):
         mask = rhs[:, k] > min_activity

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -49,6 +50,7 @@ from .observer import ChainForm, to_chain_form
 from .power_model import N_STATES, LinearizedPlant
 
 __all__ = [
+    "FieldError",
     "FaultEvent",
     "AugmentedSystem",
     "ReconfigPlan",
@@ -69,6 +71,26 @@ MODE_AUGMENTATION = "augmentation"
 MODE_UNRECOVERABLE = "unrecoverable"
 
 
+class FieldError(ValueError):
+    """An invalid input field; ``field`` names it and ``reason`` says why."""
+
+    def __init__(self, field_name: str, reason: str):
+        super().__init__(f"{field_name}: {reason}")
+        self.field, self.reason = field_name, reason
+
+
+def real_number(field_name: str, value) -> float:
+    """``value`` as a float, else a :class:`FieldError` naming the field;
+    only a real number counts, a numpy scalar too but not a bool or a
+    string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:       # an integer past the float range
+            pass
+    raise FieldError(field_name, f"must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One sensor fault: location, kind and detection latency.
@@ -80,6 +102,10 @@ class FaultEvent:
     pre-fault reading.  ``fdi_delay`` is the time
     the diagnosis layer needs before the fault location and magnitude become
     available to the reconfiguration logic.
+
+    Every field is checked here, in its own terms (a scenario checks the
+    machine and the sensor row against its plant): an invalid one raises a
+    :class:`FieldError` naming it.
     """
 
     t_fault: float
@@ -92,19 +118,26 @@ class FaultEvent:
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
-            )
-        if self.t_fault < 0.0:
-            raise ValueError(f"t_fault must be non-negative, got {self.t_fault}")
-        if self.fdi_delay < 0.0:
-            raise ValueError(f"fdi_delay must be non-negative, got {self.fdi_delay}")
-        if self.subsystem < 1:
-            raise ValueError(f"subsystem ids are 1-based, got {self.subsystem}")
+            raise FieldError("kind", f"must be one of {FAULT_KINDS}, got the "
+                             f"unknown fault kind {self.kind!r}")
         if self.kind == "gain" and self.factor is None:
-            raise ValueError("gain faults require a factor")
-        if self.sensor_row < 0:
-            raise ValueError(f"sensor_row must be non-negative, got {self.sensor_row}")
+            raise FieldError("factor", "must be a number for a gain fault, "
+                             "got None")
+        for name in ("t_fault", "fdi_delay", "factor", "stuck_value"):
+            value = getattr(self, name)
+            if value is None and name in ("factor", "stuck_value"):
+                continue
+            number = real_number(name, value)
+            if not np.isfinite(number):
+                raise FieldError(name, f"must be finite, got {value}")
+            if number < 0.0 and name in ("t_fault", "fdi_delay"):
+                raise FieldError(name, f"must be non-negative, got {value}")
+        for name, low in (("subsystem", 1), ("sensor_row", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < low):
+                raise FieldError(name, "must be an integer of at least "
+                                 f"{low}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

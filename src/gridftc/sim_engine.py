@@ -99,12 +99,12 @@ Row store and run summaries
 ---------------------------
 Rows go to a row store: every row of the run without a ``consumer`` (the
 dense log), else one ``DIVERGENCE_CHECK_STEPS`` block that each checked
-segment reuses.  After each checked segment ``_Engine.emit`` adds its rows
-to the two summaries every run keeps, each row's max |x| (``peaks``) and
-the interaction diagnostic's ``samples``, then hands them to the consumer.
-A store of every row samples through the view ``log_x[::stride]``, whose
-copy onto itself numpy skips.  Reports read only the summaries, so
-``gridftc run`` holds one block plus 8 bytes per row.
+segment reuses.  After each checked segment ``_Engine.emit`` reduces its
+rows, ``ROW_BLOCK`` at a time, into the summaries every run keeps (each
+row's max |x|, ``peaks``, and two (samples, 3) arrays on the interaction
+diagnostic's stride), then hands them to the consumer.  Reports read only
+the summaries, so ``gridftc run`` holds one block plus 8 bytes per row, and
+no run holds a second copy of its rows.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -142,8 +141,10 @@ from .reconfig import (
     MODE_UNRECOVERABLE,
     MODE_VIRTUAL_SENSOR,
     FaultEvent,
+    FieldError,
     ReconfigPlan,
     fault_output_map,
+    real_number,
     rftc_select,
 )
 
@@ -157,29 +158,21 @@ DIVERGENCE_CHECK_STEPS = 1000
 # Most rows the interaction diagnostic samples, at a stride fixed by the
 # planned row count.
 DIAG_SAMPLES = 2000
-# Rows per block of ``_row_peaks``, so that its |x| temporary is a fraction
-# of a checked segment.
+# Rows per block of ``_row_peaks`` and of the interaction reduction, so that
+# their temporaries are a fraction of a checked segment.
 ROW_BLOCK = 256
 
 
-class ScenarioError(ValueError):
+class ScenarioError(FieldError):
     """Scenario validation failure; ``field`` names the offending entry."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
 
 
 def _number(field_name: str, value) -> float:
-    """``value`` as a float, else a :class:`ScenarioError` naming the field;
-    only a real number counts, a numpy scalar too but not a bool or a
-    string."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:       # an integer past the float range
-            pass
-    raise ScenarioError(field_name, f"must be a number, got {value!r}")
+    """:func:`gridftc.reconfig.real_number`, failing as a ScenarioError."""
+    try:
+        return real_number(field_name, value)
+    except FieldError as exc:
+        raise ScenarioError(exc.field, exc.reason) from None
 
 
 @dataclass(frozen=True)
@@ -283,22 +276,12 @@ class Scenario:
         last = -math.inf
         merged_id = None    # subsystem whose dead sensor needs the merged observer
         for i, f in enumerate(self.faults):
+            # a FaultEvent checks its own fields; these need the plant
             if not isinstance(f, FaultEvent):
                 raise ScenarioError(f"faults[{i}]", "not a fault event")
-            for name in ("t_fault", "fdi_delay", "factor", "stuck_value"):
-                value = getattr(f, name)
-                if value is not None and not math.isfinite(
-                        _number(f"faults[{i}].{name}", value)):
-                    raise ScenarioError(f"faults[{i}].{name}",
-                                        f"must be finite, got {value}")
             if f.t_fault < last:
                 raise ScenarioError("faults", "fault events must be time-ordered")
             last = f.t_fault
-            for name in ("subsystem", "sensor_row"):
-                value = getattr(f, name)
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ScenarioError(f"faults[{i}].{name}",
-                                        f"must be an integer, got {value!r}")
             if not 1 <= f.subsystem <= n:
                 raise ScenarioError(f"faults[{i}].subsystem",
                                     f"subsystem {f.subsystem} outside 1..{n}")
@@ -400,8 +383,13 @@ class Scenario:
         else:
             raise ScenarioError("plant", "must be a file path or an inline object")
 
+        faults, i = [], 0
         try:
-            faults = tuple(FaultEvent.from_dict(f) for f in d.get("faults", ()))
+            for i, f in enumerate(d.get("faults", ())):
+                faults.append(FaultEvent.from_dict(f))
+        except FieldError as exc:
+            raise ScenarioError(f"faults[{i}].{exc.field}",
+                                exc.reason) from exc
         except (ValueError, TypeError) as exc:
             raise ScenarioError("faults", str(exc)) from exc
 
@@ -441,7 +429,7 @@ class Scenario:
             plant=plant,
             horizon=_number("horizon", d["horizon"]),
             dt=_number("dt", d["dt"]),
-            faults=faults,
+            faults=tuple(faults),
             observer=ObserverConfig(**observer),
             controller=ControllerConfig(**sub["controller"]),
             alpha=_number("weights.alpha", sub["weights"].get("alpha", 100.0)),
@@ -516,10 +504,11 @@ class TrajectoryLog:
     ``x`` and ``xhat`` are (steps, n, 3) deviation states (estimates in
     physical coordinates); ``y_meas`` is the raw post-fault deviation
     reading and ``y_used`` the signal the active observer consumed.
-    ``peaks`` holds each row's max |x|, and ``interactions`` and
-    ``chain_true`` are strided samples supporting the interaction-bound
-    diagnostic.  ``diverged`` is set when the divergence check ended the
-    run early (the log then ends at the row that tripped it).
+    ``peaks`` holds each row's max |x|, and ``interaction_peak`` and
+    ``chain_activity`` the interaction-bound diagnostic's (samples, 3)
+    reductions of every ``diag_stride``-th row.  ``diverged`` is set when
+    the divergence check ended the run early (the log then ends at the row
+    that tripped it).
 
     A consumer gets each checked segment as a log of that segment's rows,
     the first of them row ``row0`` of the run, with the events so far.  A
@@ -536,8 +525,8 @@ class TrajectoryLog:
     L: Optional[np.ndarray] = None
     events: list = field(default_factory=list)
     plans: list = field(default_factory=list)        # (t, ReconfigPlan)
-    interactions: Optional[np.ndarray] = None
-    chain_true: Optional[np.ndarray] = None
+    interaction_peak: Optional[np.ndarray] = None
+    chain_activity: Optional[np.ndarray] = None
     diag_stride: int = 1
     unrecoverable: bool = False
     diverged: bool = False
@@ -724,8 +713,8 @@ class _Engine:
 
     The log arrays are a row store of ``held`` rows, every row of the run or
     fewer: row k sits at ``k - base(k)``.  Every run also keeps ``peaks``,
-    each row's max |x|, and ``samples``, the rows on the interaction
-    diagnostic's stride, a view of the store when it holds every row.
+    each row's max |x|, and the interaction reductions of the rows on the
+    diagnostic's stride.
 
     ``x`` (plant deviations) and ``Z`` (nominal chain states) are
     state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
@@ -757,6 +746,7 @@ class _Engine:
                                            lin.Csub[i]))
                   for i in range(n)]
         self.Tn = np.stack([c.T for c in chains])
+        self.coupling = _chain_coupling(lin.Gint, self.Tn)
         self.Tn_inv = np.stack([c.T_inv for c in chains])
         self.ICn = np.stack([c.input_chain.ravel() for c in chains], axis=1)
         # full (3, n), so that the gains' product broadcasts nothing
@@ -783,9 +773,9 @@ class _Engine:
         rows = self.n_steps + 1
         self.stride = _diag_stride(rows)
         self.peaks = np.empty(rows)
+        self.interaction_peak = np.empty((-(-rows // self.stride), N_STATES))
+        self.chain_activity = np.empty_like(self.interaction_peak)
         self.log_x = np.empty((held, n, N_STATES))
-        self.samples = (self.log_x[::self.stride] if held == rows else
-                        np.empty((-(-rows // self.stride), n, N_STATES)))
         self.log_xhat = np.empty((held, n, N_STATES))
         self.log_ymeas = np.empty((held, n))
         self.log_yused = np.empty((held, n))
@@ -1007,17 +997,17 @@ class _Engine:
             unrecoverable=self.unrecoverable, diverged=self.diverged, row0=k0)
 
     def emit(self, k0: int, k1: int, consumer) -> None:
-        """Add the checked rows ``k0 .. k1 - 1`` to the row peaks and the
-        diagnostic samples, then hand them to ``consumer`` if there is one.
-
-        When ``samples`` views the store, the sample copy writes rows onto
-        themselves with the same pointer and strides, which numpy skips."""
+        """Reduce the checked rows ``k0 .. k1 - 1`` into the row peaks and,
+        through the module global ``_attach_interaction_diagnostics``, the
+        interaction reductions; then hand them to ``consumer``, if any."""
         base = self.base(k0)
         x = self.log_x[k0 - base:k1 - base]
         _row_peaks(x, out=self.peaks[k0:k1])
         s = self.stride
         j0, j1 = -(-k0 // s), -(-k1 // s)   # samples of rows k0 .. k1 - 1
-        self.samples[j0:j1] = x[j0 * s - k0::s]
+        _attach_interaction_diagnostics(
+            x[j0 * s - k0::s], self.coupling, self.Tn,
+            self.interaction_peak[j0:j1], self.chain_activity[j0:j1])
         if consumer is not None:
             consumer(self.segment(k0, k1))
 
@@ -1028,10 +1018,10 @@ class _Engine:
                TrajectoryLog(self.scn.name, events=self.events,
                              plans=self.plans, diverged=self.diverged,
                              unrecoverable=self.unrecoverable))
-        log.peaks = self.peaks[:rows]
-        _attach_interaction_diagnostics(
-            log, self.lin, self.Tn, self.samples[:-(-rows // self.stride)],
-            self.stride)
+        j = -(-rows // self.stride)     # samples of rows 0 .. rows - 1
+        log.peaks, log.diag_stride = self.peaks[:rows], self.stride
+        log.interaction_peak = self.interaction_peak[:j]
+        log.chain_activity = self.chain_activity[:j]
         return log
 
 
@@ -1090,27 +1080,37 @@ def _diag_stride(rows: int, max_samples: int = DIAG_SAMPLES) -> int:
     return max(1, rows // max_samples)
 
 
-def _attach_interaction_diagnostics(log: TrajectoryLog, lin, Tn,
-                                    sampled: np.ndarray, stride: int) -> None:
-    """Coupling terms at the rows ``sampled`` (every ``stride``-th state
-    row) for the interaction-bound diagnostic.
+def _chain_coupling(Gint, Tn) -> np.ndarray:
+    """(3n, 3n) map of a flat (n, 3) state row to its chain-coordinate
+    interactions, row ``3 i + k`` machine i's row k of ``Tn[i] @ sum_j
+    Gint[i, j] @ x_j``; built per machine, as ``Tn[i]`` times its rows."""
+    n = len(Tn)
+    rows = Gint.transpose(0, 2, 1, 3).reshape(n, N_STATES, N_STATES * n)
+    return np.matmul(Tn, rows).reshape(N_STATES * n, N_STATES * n)
 
-    Interactions are evaluated through the linearized coupling blocks at the
-    logged states and mapped to chain coordinates.  The blocks
-    ``Gint[i, j]`` are laid out as one (3n, 3n) coupling matrix and the
-    chain transforms as one block-diagonal matrix, so each output is one
-    product over all samples.
-    """
-    n = sampled.shape[1]
-    X = sampled.reshape(-1, N_STATES * n)
-    coupling = lin.Gint.transpose(0, 2, 1, 3).reshape(N_STATES * n,
-                                                      N_STATES * n)
-    T = np.zeros((n, N_STATES, n, N_STATES))
-    T[np.arange(n), :, np.arange(n), :] = Tn
-    T = T.reshape(N_STATES * n, N_STATES * n)
-    log.interactions = (X @ (T @ coupling).T).reshape(-1, n, N_STATES)
-    log.chain_true = (X @ T.T).reshape(-1, n, N_STATES)
-    log.diag_stride = stride
+
+def _attach_interaction_diagnostics(x: np.ndarray, coupling: np.ndarray,
+                                    Tn: np.ndarray, peak: np.ndarray,
+                                    activity: np.ndarray) -> None:
+    """Reduce the sampled (samples, n, 3) state rows ``x`` into the
+    interaction-bound diagnostic's (samples, 3) ``peak`` and ``activity``,
+    ``ROW_BLOCK`` rows at a time: ``peak[s, k]`` is the max over machines of
+    |interaction| in chain row k (the ``coupling`` of :func:`_chain_coupling`)
+    and ``activity[s, k]`` the sum over machines i and chain rows l <= k of
+    |z_il|, the true chain state ``z_i = Tn[i] @ x_i``.  Both products are
+    machine-major, (n, 3, rows), so the reductions over machines combine
+    whole contiguous slabs."""
+    n = x.shape[1]
+    scratch = np.empty(min(len(x), ROW_BLOCK) * N_STATES * n)  # one block
+    for r0 in range(0, len(x), ROW_BLOCK):
+        block = x[r0:r0 + ROW_BLOCK]
+        b = len(block)
+        buf = scratch[:b * N_STATES * n].reshape(n, N_STATES, b)
+        np.matmul(coupling, block.reshape(b, -1).T, buf.reshape(-1, b))
+        np.max(np.abs(buf, buf), axis=0, out=peak[r0:r0 + b].T)
+        np.matmul(Tn, block.transpose(1, 2, 0), buf)
+        np.cumsum(np.abs(buf, buf).sum(axis=0), axis=0,
+                  out=activity[r0:r0 + b].T)
 
 
 def _row_peaks(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

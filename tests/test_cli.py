@@ -72,6 +72,16 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
         event.update(fields)
         return {"faults": [event], "settling_window": 0.5}
 
+    # a fault entry's own fields, each named with what it must be
+    entry = [(fault(t_fault="150"), "faults[0].t_fault"),
+             (fault(fdi_delay="3"), "faults[0].fdi_delay"),
+             (fault(fdi_delay=None), "faults[0].fdi_delay"),
+             (fault(subsystem="5"), "faults[0].subsystem"),
+             (fault(sensor_row="0"), "faults[0].sensor_row"),
+             (fault(t_fault=-1.0), "faults[0].t_fault"),
+             (fault(kind="Gain"), "faults[0].kind"),
+             (fault(factor=None), "faults[0].factor"),
+             (fault(subsystem=0), "faults[0].subsystem")]
     for update, field in [
             ({"dt": 0.0}, "dt"),
             ({"controller": {"poles": [-1.2, -1.7, -2.4]}}, "controller.poles"),
@@ -109,13 +119,16 @@ def test_run_reports_bad_field(short_run, tmp_path, capsys):
              "faults[0].stuck_value"),
             ({"horizon": "20"}, "horizon"),
             ({"j_max": "20"}, "j_max"),
-            ({"horizon": 10 ** 400}, "horizon")]:
+            ({"horizon": 10 ** 400}, "horizon")] + entry:
         d = json.loads(scn_path.read_text())
         d.update(update)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        if (update, field) in entry:
+            assert f"{field}: must be " in err and ", got " in err, err
     assert not (tmp_path / "mytraj.csv").exists()
 
 

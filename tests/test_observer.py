@@ -219,9 +219,16 @@ def test_gain_saturates_at_cap():
 
 
 class _FakeTraj:
+    """The reductions a run keeps, of sampled interactions and true chain
+    states, each (samples, n_sub, n_chain)."""
+
     def __init__(self, interactions, chain_true):
-        self.interactions = interactions
-        self.chain_true = chain_true
+        if interactions is None:
+            self.interaction_peak = self.chain_activity = None
+            return
+        self.interaction_peak = np.abs(interactions).max(axis=1)
+        self.chain_activity = np.cumsum(np.sum(np.abs(chain_true), axis=1),
+                                        axis=1)
 
 
 def test_interaction_bound_decoupled_is_zero(rng):

@@ -10,12 +10,13 @@ import pytest
 
 import _oracles as orc
 from gridftc.power_model import (
-    LinearizedPlant,
     NetworkModel,
     PlantModel,
     construct_equilibrium,
 )
 from gridftc.desk_models import data_path
+from gridftc.observability import StateSpace
+from gridftc.observer import to_chain_form
 from gridftc.reconfig import FaultEvent, ReconfigPlan
 from gridftc.sim_engine import (
     ROW_BLOCK,
@@ -26,6 +27,7 @@ from gridftc.sim_engine import (
     ScenarioError,
     TrajectoryLog,
     _attach_interaction_diagnostics,
+    _chain_coupling,
     _diag_stride,
     _grid_index,
     _row_peaks,
@@ -384,31 +386,62 @@ def test_stuck_fault_holds_reading(desk2, stuck_value):
     assert np.allclose(log.y_meas[:, 1], log.x[:, 1, 0], rtol=0.0, atol=1e-12)
 
 
+def _reduced_einsum(Gint, Tn, X):
+    """The interaction peak and chain activity of the (samples, n, 3) rows
+    ``X``, from the full einsum-built interactions and chain states."""
+    inter = np.einsum("ikl,sil->sik", Tn, np.einsum("ijkl,sjl->sik", Gint, X))
+    z_true = np.einsum("ikl,sil->sik", Tn, X)
+    return (np.abs(inter).max(axis=1),
+            np.cumsum(np.abs(z_true).sum(axis=1), axis=1))
+
+
 @pytest.mark.parametrize("n, rows, max_samples, stride",
                          [(5, 40, 2000, 1), (5, 41, 10, 4),
-                          (12, 40, 2000, 1), (12, 41, 10, 4)])
+                          (12, 40, 2000, 1), (12, 41, 10, 4),
+                          (5, 1201, 400, 3), (40, 601, 200, 3)])
 def test_interaction_diagnostics_match_einsum(n, rows, max_samples, stride):
+    """The reductions, taken over the samples cut at uneven points (as the
+    run's segments cut them), match the full arrays reduced here."""
     rng = np.random.default_rng([n, rows, max_samples])
     Gint = rng.normal(size=(n, n, 3, 3))
     Gint[np.arange(n), np.arange(n)] = 0.0
-    lin = LinearizedPlant(A=rng.normal(size=(n, 3, 3)), Gint=Gint,
-                          Bsub=np.zeros((n, 3)), Csub=np.zeros((n, 1, 3)))
     Tn = rng.normal(size=(n, 3, 3))
     x = rng.normal(size=(rows, n, 3))
-    zeros = np.zeros((rows, n))
-    log = TrajectoryLog(scenario_name="diag", t=np.arange(rows) * 1e-3, x=x,
-                        xhat=np.zeros_like(x), y_meas=zeros, y_used=zeros,
-                        L=np.ones((rows, n)))
     assert _diag_stride(rows, max_samples) == stride
     X = x[::stride]
-    _attach_interaction_diagnostics(log, lin, Tn, X, stride)
-    inter_ref = np.einsum("ikl,sil->sik", Tn,
-                          np.einsum("ijkl,sjl->sik", Gint, X))
-    assert log.diag_stride == stride
-    assert log.interactions.shape == inter_ref.shape
-    assert np.max(np.abs(log.interactions - inter_ref)) < 1e-12
-    assert np.max(np.abs(log.chain_true
-                         - np.einsum("ikl,sil->sik", Tn, X))) < 1e-12
+    peak_ref, activity_ref = _reduced_einsum(Gint, Tn, X)
+    coupling = _chain_coupling(Gint, Tn)
+    peak, activity = np.full((2, len(X), 3), np.nan)
+    cuts = sorted({0, 1, 4, len(X) // 3 + 1, len(X) - 2, len(X)})
+    for j0, j1 in zip(cuts, cuts[1:]):
+        _attach_interaction_diagnostics(X[j0:j1], coupling, Tn, peak[j0:j1],
+                                        activity[j0:j1])
+    assert np.max(np.abs(peak - peak_ref)) < 1e-12
+    assert np.max(np.abs(activity - activity_ref)) < 1e-12
+
+
+def test_run_reduces_its_rows_on_the_stride(desk5):
+    """A run whose events cut segments at odd rows, on a stride of 2, keeps
+    the reductions of exactly its sampled rows."""
+    faults = (FaultEvent(t_fault=1.2345, subsystem=5, kind="gain",
+                         factor=0.7, fdi_delay=0.2),
+              FaultEvent(t_fault=3.0005, subsystem=5, kind="total-loss",
+                         fdi_delay=0.3))
+    scn = Scenario(plant=desk5, horizon=4.5, dt=1e-3, faults=faults,
+                   settling_window=1.0, controller=ControllerConfig(
+                       gains=np.tile([-0.003, -0.03, 0.0], (desk5.n, 1))))
+    log = run_scenario(scn)
+    assert log.diag_stride == 2
+    assert [m.step % 2 for m in log.events] == [1, 1, 1, 1]
+    lin = desk5.linearize()
+    Tn = np.stack([to_chain_form(StateSpace(
+        lin.A[i], lin.Bsub[i].reshape(3, 1), lin.Csub[i])).T
+        for i in range(desk5.n)])
+    peak_ref, activity_ref = _reduced_einsum(lin.Gint, Tn, log.x[::2])
+    assert log.interaction_peak.shape == peak_ref.shape == (2251, 3)
+    scale = max(np.max(peak_ref), np.max(activity_ref))
+    assert np.max(np.abs(log.interaction_peak - peak_ref)) < 1e-12 * scale
+    assert np.max(np.abs(log.chain_activity - activity_ref)) < 1e-12 * scale
 
 
 def test_two_fault_markers(two_fault_log):
@@ -578,8 +611,9 @@ def test_build_report_memory_stays_within_blocks(desk5):
     rng = np.random.default_rng(5)
     log = TrajectoryLog(scenario_name="memory", t=t, x=x, xhat=x,
                         y_meas=zeros, y_used=zeros, L=zeros,
-                        interactions=rng.normal(size=(2000, n, 3)),
-                        chain_true=rng.normal(size=(2000, n, 3)),
+                        interaction_peak=np.abs(rng.normal(size=(2000, 3))),
+                        chain_activity=np.cumsum(
+                            np.abs(rng.normal(size=(2000, 3))), axis=1),
                         diag_stride=100, peaks=_row_peaks(x))
     scn = Scenario(plant=desk5, horizon=200.0, dt=1e-3, name="memory",
                    faults=(FaultEvent(t_fault=100.0, subsystem=5,

@@ -79,7 +79,7 @@ def assert_stream_matches_dense(scn_dict, tmp_path, seed=0):
                 == (dense / names[key]).read_bytes()), key
     assert (_masked((streamed / names["report"]).read_bytes())
             == (dense / names["report"]).read_bytes())
-    for key in ("peaks", "interactions", "chain_true"):
+    for key in ("peaks", "interaction_peak", "chain_activity"):
         got, want = getattr(returned[0], key), getattr(log, key)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
     assert (log.peaks.tobytes()
@@ -203,10 +203,11 @@ def test_run_memory_grows_by_row_peaks_only(tmp_path, capsys):
 
 def test_dense_run_memory_is_its_rows_and_summaries():
     """A dense run holds its rows (``t`` and nine doubles per machine), 8
-    bytes of row peaks per row and the two interaction arrays, plus a slack
-    for set-up and scratch: no copy of the diagnostic's samples and no
-    second block of rows.  At 3,001 rows the stride is 1, so either would
-    add 360 kB."""
+    bytes of row peaks per row and the two (samples, 3) interaction
+    reductions, plus a slack for set-up and scratch: no copy of the
+    diagnostic's samples, no (samples, n, 3) diagnostic array and no second
+    block of rows.  At 3,001 rows the stride is 1, so each would add 360
+    kB."""
     scn = Scenario.from_dict(_scenario(desk5_plant(), 3.0))
     run_scenario(scn)       # one-time imports and caches, untraced
     tracemalloc.start()
@@ -217,7 +218,8 @@ def test_dense_run_memory_is_its_rows_and_summaries():
         tracemalloc.stop()
     rows, n = log.x.shape[:2]
     assert log.diag_stride == 1
-    # the slack: about 26 kB traced here, against 360 kB for either waste
-    bound = ((1 + 9 * n) * 8 * rows + 8 * rows + log.interactions.nbytes
-             + log.chain_true.nbytes + 128_000)
+    # the slack: about 72 kB traced here (the reductions' block scratch
+    # included), against 360 kB for each waste
+    bound = ((1 + 9 * n) * 8 * rows + 8 * rows + log.interaction_peak.nbytes
+             + log.chain_activity.nbytes + 128_000)
     assert peak < bound, f"traced peak {peak} B, bound {bound} B"
