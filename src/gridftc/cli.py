@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
                           outputs={k: str(p) for k, p in paths.items()})
     write_report_json(report, paths["report"])
 
-    steps = len(log.peaks) - 1
+    steps = log.rows - 1
     print(f"scenario {scn.name}: {steps} steps in {wall:.1f} s "
           f"({1e6 * wall / max(steps, 1):.1f} us/step)")
     for ev in log.events:
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--seed", type=_SEED, default=0,
-                   help="seed for the measurement-noise generator")
+                   help="seed for the measurement-noise generator, a "
+                   "nonnegative integer; a noise-free run ignores it")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("analyze", parents=[fault_opts],

@@ -3,7 +3,9 @@
 One fixed RK4 grid advances four things in lockstep: the nonlinear
 multi-machine plant, a bank of per-subsystem adaptive chain observers,
 per-subsystem state feedback, and the fault/diagnosis/reconfiguration
-timeline.  Runs are bitwise deterministic for a fixed scenario and seed.
+timeline.  Runs are bitwise deterministic for a fixed scenario and seed; the
+seed drives only the measurement noise, so a noise-free run ignores it and
+builds no random generator.
 
 The feedback is the scenario's gain matrix acting on the estimates, so the
 nominal controller stays in the loop and never sees the fault; a scenario
@@ -100,11 +102,14 @@ Row store and run summaries
 Rows go to a row store: every row of the run without a ``consumer`` (the
 dense log), else one ``DIVERGENCE_CHECK_STEPS`` block that each checked
 segment reuses.  After each checked segment ``_Engine.emit`` reduces its
-rows, ``ROW_BLOCK`` at a time, into the summaries every run keeps (each
-row's max |x|, ``peaks``, and two (samples, 3) arrays on the interaction
-diagnostic's stride), then hands them to the consumer.  Reports read only
-the summaries, so ``gridftc run`` holds one block plus 8 bytes per row, and
-no run holds a second copy of its rows.
+rows, ``ROW_BLOCK`` at a time, into the summaries every run keeps: each
+fault's recovery window and tail maxima of the row peaks (each row's max
+|x|, :class:`_RecoveryWindows`) and two (samples, 3) arrays on the
+interaction diagnostic's stride; then it hands the rows to the consumer.
+Reports read only the summaries, so ``gridftc run`` holds one block, a
+ring of the last settling window's row peaks when the scenario has faults
+and the (samples, 3) reductions, whatever its horizon, and no run holds a
+second copy of its rows.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -504,8 +510,11 @@ class TrajectoryLog:
     ``x`` and ``xhat`` are (steps, n, 3) deviation states (estimates in
     physical coordinates); ``y_meas`` is the raw post-fault deviation
     reading and ``y_used`` the signal the active observer consumed.
-    ``peaks`` holds each row's max |x|, and ``interaction_peak`` and
-    ``chain_activity`` the interaction-bound diagnostic's (samples, 3)
+    ``rows`` counts the log's rows, and ``windows`` holds one ``(peak,
+    tail_max)`` pair per scenario fault, the maxima of the row peaks (each
+    row's max |x|) over the fault's recovery window and its tail, which
+    :func:`recovery_summary` reads.  ``interaction_peak`` and
+    ``chain_activity`` are the interaction-bound diagnostic's (samples, 3)
     reductions of every ``diag_stride``-th row.  ``diverged`` is set when
     the divergence check ended the run early (the log then ends at the row
     that tripped it).
@@ -531,7 +540,8 @@ class TrajectoryLog:
     unrecoverable: bool = False
     diverged: bool = False
     row0: int = 0
-    peaks: Optional[np.ndarray] = None
+    rows: int = 0
+    windows: list = field(default_factory=list)     # (peak, tail_max)
 
 
 @dataclass
@@ -712,9 +722,10 @@ class _Engine:
     kernel :meth:`advance` carries from row to row.
 
     The log arrays are a row store of ``held`` rows, every row of the run or
-    fewer: row k sits at ``k - base(k)``.  Every run also keeps ``peaks``,
-    each row's max |x|, and the interaction reductions of the rows on the
-    diagnostic's stride.
+    fewer: row k sits at ``k - base(k)``.  Every run also keeps its faults'
+    recovery maxima, ``windows``, and the interaction reductions of the rows
+    on the diagnostic's stride.  ``rng`` is the noise generator, None in a
+    noise-free run.
 
     ``x`` (plant deviations) and ``Z`` (nominal chain states) are
     state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
@@ -764,7 +775,8 @@ class _Engine:
         self.x = np.zeros((N_STATES, n))
         self.y_abs = self.y_ref.copy()
         self.ws = _Workspace(n)
-        self.rng = np.random.default_rng(seed)
+        self.rng = (np.random.default_rng(seed)
+                    if scn.noise_amplitude > 0.0 else None)
         self.active: list = []
         self.vs_gain: dict = {}
         self.frozen = np.zeros(n, dtype=bool)
@@ -772,7 +784,7 @@ class _Engine:
 
         rows = self.n_steps + 1
         self.stride = _diag_stride(rows)
-        self.peaks = np.empty(rows)
+        self.windows = _RecoveryWindows(scn, rows)
         self.interaction_peak = np.empty((-(-rows // self.stride), N_STATES))
         self.chain_activity = np.empty_like(self.interaction_peak)
         self.log_x = np.empty((held, n, N_STATES))
@@ -994,15 +1006,17 @@ class _Engine:
             x=self.log_x[rows], xhat=self.log_xhat[rows],
             y_meas=self.log_ymeas[rows], y_used=self.log_yused[rows],
             L=self.log_L[rows], events=self.events, plans=self.plans,
-            unrecoverable=self.unrecoverable, diverged=self.diverged, row0=k0)
+            unrecoverable=self.unrecoverable, diverged=self.diverged, row0=k0,
+            rows=k1 - k0)
 
     def emit(self, k0: int, k1: int, consumer) -> None:
-        """Reduce the checked rows ``k0 .. k1 - 1`` into the row peaks and,
-        through the module global ``_attach_interaction_diagnostics``, the
-        interaction reductions; then hand them to ``consumer``, if any."""
+        """Reduce the checked rows ``k0 .. k1 - 1`` into the recovery
+        windows and, through the module global
+        ``_attach_interaction_diagnostics``, the interaction reductions; then
+        hand them to ``consumer``, if any."""
         base = self.base(k0)
         x = self.log_x[k0 - base:k1 - base]
-        _row_peaks(x, out=self.peaks[k0:k1])
+        self.windows.add(k0, x)
         s = self.stride
         j0, j1 = -(-k0 // s), -(-k1 // s)   # samples of rows k0 .. k1 - 1
         _attach_interaction_diagnostics(
@@ -1019,7 +1033,8 @@ class _Engine:
                              plans=self.plans, diverged=self.diverged,
                              unrecoverable=self.unrecoverable))
         j = -(-rows // self.stride)     # samples of rows 0 .. rows - 1
-        log.peaks, log.diag_stride = self.peaks[:rows], self.stride
+        log.rows, log.windows = rows, self.windows.close(rows)
+        log.diag_stride = self.stride
         log.interaction_peak = self.interaction_peak[:j]
         log.chain_activity = self.chain_activity[:j]
         return log
@@ -1045,9 +1060,15 @@ def run_scenario(scn: Scenario, seed: int = 0,
     that tripped, is passed to ``consumer(segment)`` as a
     :class:`TrajectoryLog` of its rows (views that the next segment may
     overwrite), and the returned log holds rows only if the run fits in one
-    block.  Either way it carries the ``peaks`` and the summaries that
+    block.  Either way it carries its row count and the summaries that
     :func:`build_report` reads.
+
+    ``seed`` seeds the measurement noise; it must be a nonnegative integer
+    (``ValueError`` if negative, ``TypeError`` if not an integer) even when
+    the scenario has no noise, and then it is not used.
     """
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     scn.validate()
     rows = int(round(scn.horizon / scn.dt)) + 1
     eng = _Engine(scn, seed, rows if consumer is None
@@ -1113,15 +1134,13 @@ def _attach_interaction_diagnostics(x: np.ndarray, coupling: np.ndarray,
                   out=activity[r0:r0 + b].T)
 
 
-def _row_peaks(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _row_peaks(a: np.ndarray) -> np.ndarray:
     """Per-row max |a| over the trailing axes, read in ``ROW_BLOCK`` rows.
 
     Equal to ``np.max(np.abs(a), axis=(1, ...))``, NaN rows included, but
-    the |a| temporary is one block rather than a copy of ``a``.  Written to
-    ``out`` when given.
+    the |a| temporary is one block rather than a copy of ``a``.
     """
-    if out is None:
-        out = np.empty(len(a))
+    out = np.empty(len(a))
     axes = tuple(range(1, a.ndim))
     for r0 in range(0, len(a), ROW_BLOCK):
         np.max(np.abs(a[r0:r0 + ROW_BLOCK]), axis=axes,
@@ -1129,37 +1148,98 @@ def _row_peaks(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
+def _grid_rows(rows: int, dt: float, t0: float, t1: float) -> tuple:
+    """``(lo, hi)``: rows ``lo .. hi - 1`` of ``0 .. rows - 1`` are those
+    with ``t0 <= k * dt <= t1`` on the grid times."""
+    def t(k):
+        return k * dt
+    grid = range(rows)
+    return (bisect.bisect_left(grid, t0, key=t),
+            bisect.bisect_right(grid, t1, key=t))
+
+
+class _RecoveryWindows:
+    """Each fault's recovery maxima, folded in as the rows of a run of at
+    most ``rows`` rows arrive.
+
+    Fault i's window is the rows with ``t_fault <= k*dt <= t_end`` and its
+    tail those with ``max(t_fault, t_end - settling_window) <= k*dt <=
+    t_end``, where ``t_end`` is the next fault's time, or the log's last
+    row time for the last fault.  :meth:`add` folds a chunk's row peaks
+    (each row's max |x|) into the maxima of every window and tail that it
+    meets.  The last tail ends where the run ends, which a divergence trip
+    can cut, so :meth:`close` takes it from a ring of the last row peaks:
+    a tail spans at most ``settling_window / dt + 1`` rows, one more for
+    the rounding of ``int``.  Row peaks are >= 0 or NaN, so each max starts
+    at 0.0, which is what an empty window reads and which moves no other
+    max, and ``np.maximum`` carries NaN.
+    """
+
+    def __init__(self, scn, rows: int):
+        self.dt, self.settling = scn.dt, scn.settling_window
+        self.times = times = [f.t_fault for f in scn.faults]
+        # per fault: (window lo, hi, tail lo) rows; the last tail waits
+        self.spans = []
+        for i, t0 in enumerate(times):
+            t1 = times[i + 1] if i + 1 < len(times) else (rows - 1) * self.dt
+            lo, hi = _grid_rows(rows, self.dt, t0, t1)
+            tail = (_grid_rows(rows, self.dt, max(t0, t1 - self.settling),
+                               t1)[0] if i + 1 < len(times) else hi)
+            self.spans.append((lo, hi, tail))
+        self.maxima = np.zeros((len(times), 2))
+        self.ring = (np.empty(min(rows, int(self.settling / self.dt) + 2))
+                     if times else None)
+
+    def add(self, k0: int, x: np.ndarray) -> None:
+        """Fold the (rows, ...) state rows ``x``, run rows ``k0`` on."""
+        if not self.spans:
+            return
+        peaks = _row_peaks(x)
+        k1 = k0 + len(peaks)
+        for (lo, hi, tail), acc in zip(self.spans, self.maxima):
+            for j, first in enumerate((lo, tail)):
+                a, b = max(first, k0), min(hi, k1)
+                if a < b:
+                    acc[j] = np.maximum(acc[j], peaks[a - k0:b - k0].max())
+        start = max(k0, k1 - len(self.ring))
+        self.ring.put(range(start, k1), peaks[start - k0:], mode="wrap")
+
+    def close(self, rows: int) -> list:
+        """``(peak, tail_max)`` per fault for a log of ``rows`` rows."""
+        if self.spans:
+            t_last = (rows - 1) * self.dt
+            lo, hi = _grid_rows(rows, self.dt,
+                                max(self.times[-1], t_last - self.settling),
+                                t_last)
+            if lo < hi:
+                self.maxima[-1, 1] = self.ring.take(range(lo, hi),
+                                                    mode="wrap").max()
+        return [(float(p), float(t)) for p, t in self.maxima]
+
+
 def recovery_summary(scn: Scenario, log: TrajectoryLog) -> list:
-    """Per-fault recovery verdicts from each row's max |x|, ``log.peaks``,
-    on the grid times ``k * scn.dt``.
+    """Per-fault recovery verdicts from the log's window maxima,
+    ``log.windows``, and its row count, on the grid times ``k * scn.dt``.
 
     For each fault the window runs to the next fault (or the log's last
     row); the verdict is "recovered" when the deviation infinity-norm over
-    the window's final settling-window stretch stays below 5 % of the window
-    peak.  A window that a divergence verdict cut short reads "diverged",
-    and a fault diagnosed as unrecoverable reads "unrecoverable".  A window
-    is the rows with ``t_start <= t <= t_end``.
+    the window's final settling-window stretch, ``tail_max``, stays below
+    5 % of the window ``peak``.  A window that a divergence verdict cut
+    short reads "diverged", and a fault diagnosed as unrecoverable reads
+    "unrecoverable".  A window is the rows with ``t_start <= t <= t_end``
+    (:class:`_RecoveryWindows`).
     """
+    if len(log.windows) != len(scn.faults):
+        raise ValueError(
+            f"the log carries {len(log.windows)} recovery windows for "
+            f"{len(scn.faults)} faults; pass the log that run_scenario "
+            "returns for this scenario")
     out = []
-    dev, rows = log.peaks, range(len(log.peaks))
-    t_last = (len(dev) - 1) * scn.dt
-
-    def t(k):
-        return k * scn.dt
-
-    def rows_between(t0, t1):
-        return dev[bisect.bisect_left(rows, t0, key=t):
-                   bisect.bisect_right(rows, t1, key=t)]
-
+    t_last = (log.rows - 1) * scn.dt
     fault_times = [f.t_fault for f in scn.faults]
-    for i, f in enumerate(scn.faults):
+    for i, (f, (peak, tail_max)) in enumerate(zip(scn.faults, log.windows)):
         t_start = f.t_fault
         t_end = fault_times[i + 1] if i + 1 < len(fault_times) else t_last
-        window = rows_between(t_start, t_end)
-        peak = float(window.max()) if window.size else 0.0
-        tail_start = max(t_start, t_end - scn.settling_window)
-        tail = rows_between(tail_start, t_end)
-        tail_max = float(tail.max()) if tail.size else 0.0
         verdict = "recovered" if (peak > 0 and tail_max < 0.05 * peak) \
             else "not-recovered"
         if log.diverged and t_end >= t_last:

@@ -225,6 +225,28 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("noise, loaded", [(0.0, False), (1e-3, True)])
+def test_run_loads_numpy_random_only_for_noise(tmp_path, desk5, noise,
+                                               loaded):
+    """A noise-free run, its reconfiguration searches included, builds no
+    random generator and so never imports ``numpy.random``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "plant": desk5.to_dict(), "horizon": 0.3, "dt": 1e-3,
+        "noise_amplitude": noise, "settling_window": 0.1,
+        "faults": [{"t_fault": 0.05, "subsystem": 5, "kind": "total-loss",
+                    "fdi_delay": 0.05}]}))
+    src = Path(gridftc.__file__).resolve().parents[1]
+    code = ("import sys; from gridftc.cli import main; "
+            f"code = main(['run', {str(path)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert "fdi:sub5:augmentation" in out
+    assert out.splitlines()[-1] == f"0 {loaded}"
+
+
 def test_out_env_var_fallback(short_run, tmp_path, monkeypatch):
     scn_path, _ = short_run
     monkeypatch.setenv("GRIDFTC_OUT", str(tmp_path))

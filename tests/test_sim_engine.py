@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _oracles as orc
 from gridftc.power_model import (
@@ -26,6 +28,7 @@ from gridftc.sim_engine import (
     Scenario,
     ScenarioError,
     TrajectoryLog,
+    _RecoveryWindows,
     _attach_interaction_diagnostics,
     _chain_coupling,
     _diag_stride,
@@ -475,15 +478,27 @@ def test_two_fault_recovery_rows(two_fault_log):
         assert r["peak"] > 0.0 and r["tail_max"] >= 0.0
 
 
-def synthetic_log(profile, plans=()):
+def fold_windows(log, scn, planned=None, chunk=97):
+    """``log`` with the recovery windows of ``scn`` folded from its rows
+    ``chunk`` at a time, as a run of ``planned`` rows (default: the log's)
+    folds its checked segments."""
+    rows = len(log.x)
+    windows = _RecoveryWindows(scn, planned or rows)
+    for k0 in range(0, rows, chunk):
+        windows.add(k0, log.x[k0:k0 + chunk])
+    log.rows, log.windows = rows, windows.close(rows)
+    return log
+
+
+def synthetic_log(scn, profile, plans=()):
     t = np.linspace(0.0, 20.0, 2001)
     x = np.zeros((t.size, 1, 3))
     x[:, 0, 0] = profile(t)
     zeros = np.zeros((t.size, 1))
-    return TrajectoryLog(scenario_name="synthetic", t=t, x=x,
-                         xhat=np.zeros_like(x), y_meas=zeros, y_used=zeros,
-                         L=np.ones((t.size, 1)), plans=list(plans),
-                         peaks=_row_peaks(x))
+    return fold_windows(TrajectoryLog(
+        scenario_name="synthetic", t=t, x=x, xhat=np.zeros_like(x),
+        y_meas=zeros, y_used=zeros, L=np.ones((t.size, 1)),
+        plans=list(plans)), scn)
 
 
 def test_recovery_summary_verdicts(desk2):
@@ -492,15 +507,15 @@ def test_recovery_summary_verdicts(desk2):
     scn = Scenario(plant=desk2, horizon=20.0, dt=0.01, faults=(fault,),
                    settling_window=5.0)
 
-    decay = synthetic_log(lambda t: np.where(t >= 5.0,
-                                             np.exp(-(t - 5.0)), 0.0))
+    decay = synthetic_log(scn, lambda t: np.where(t >= 5.0,
+                                                  np.exp(-(t - 5.0)), 0.0))
     assert recovery_summary(scn, decay)[0]["verdict"] == "recovered"
 
-    flat = synthetic_log(lambda t: np.where(t >= 5.0, 1.0, 0.0))
+    flat = synthetic_log(scn, lambda t: np.where(t >= 5.0, 1.0, 0.0))
     assert recovery_summary(scn, flat)[0]["verdict"] == "not-recovered"
 
     doomed = synthetic_log(
-        lambda t: np.where(t >= 5.0, np.exp(-(t - 5.0)), 0.0),
+        scn, lambda t: np.where(t >= 5.0, np.exp(-(t - 5.0)), 0.0),
         plans=[(6.0, ReconfigPlan(mode="unrecoverable", faulty_id=1))])
     assert recovery_summary(scn, doomed)[0]["verdict"] == "unrecoverable"
 
@@ -521,27 +536,27 @@ def test_isolated_machine_is_unrecoverable():
     assert recovery_summary(scn, log)[0]["verdict"] == "unrecoverable"
 
 
-def blocked_log(rows, edit=None, diverged=False, plans=()):
-    """A seeded two-machine log on a unit grid (t equals the row index)."""
+def blocked_log(rows, edit=None, diverged=False, plans=(), dt=1.0):
+    """A seeded two-machine log, on a unit grid (t equals the row index)
+    unless ``dt`` says otherwise."""
     rng = np.random.default_rng(rows)
     x = rng.normal(size=(rows, 2, 3)) \
         * np.exp(-8.0 * np.arange(rows) / rows)[:, None, None]
     if edit is not None:
         edit(x)
     zeros = np.zeros((rows, 2))
-    return TrajectoryLog(scenario_name="blocked", t=np.arange(rows) * 1.0,
+    return TrajectoryLog(scenario_name="blocked", t=np.arange(rows) * dt,
                          x=x, xhat=np.zeros_like(x), y_meas=zeros,
                          y_used=zeros, L=np.ones((rows, 2)),
-                         plans=list(plans), diverged=diverged,
-                         peaks=_row_peaks(x))
+                         plans=list(plans), diverged=diverged)
 
 
-def faults_at(*times, settling=100.0):
+def faults_at(*times, settling=100.0, dt=1.0):
     return types.SimpleNamespace(
         faults=[FaultEvent(t_fault=float(t), subsystem=1 + k % 2,
                            kind="total-loss", fdi_delay=0.5)
                 for k, t in enumerate(times)],
-        settling_window=settling, dt=1.0)
+        settling_window=settling, dt=dt)
 
 
 def _nonfinite(x):
@@ -569,6 +584,10 @@ RECOVERY_CASES = {
                         faults_at(10, 10, 300, B + 8)),
     "one-row-log": (lambda: blocked_log(1), faults_at(0, 0)),
     "whole-blocks": (lambda: blocked_log(2 * B), faults_at(0, B)),
+    # 43 * 0.1 / 0.1 rounds to 42.99..., yet the last tail is all 44 rows:
+    # the ring's spare row holds the first, the log's peak
+    "tail-past-int": (lambda: blocked_log(44, dt=0.1),
+                      faults_at(0, settling=43 * 0.1, dt=0.1)),
     # cut short by a divergence verdict: the last window runs to the cut and
     # a fault after the cut has an empty window
     "diverged": (lambda: blocked_log(
@@ -582,6 +601,7 @@ RECOVERY_CASES = {
 def test_recovery_summary_matches_full_array_oracle(case):
     make_log, scn = RECOVERY_CASES[case]
     log = make_log()
+    fold_windows(log, scn, planned=len(log.x) + (B if log.diverged else 0))
     got = recovery_summary(scn, log)
     # json text, so -0.0 against 0.0 and NaN against a number both differ
     assert json.dumps(got) == json.dumps(orc.recovery_summary_full(scn, log))
@@ -591,13 +611,53 @@ def test_recovery_summary_matches_full_array_oracle(case):
 def test_recovery_summary_oracle_cases_reach_every_branch():
     verdicts, peaks = set(), []
     for make_log, scn in RECOVERY_CASES.values():
-        rows = recovery_summary(scn, make_log())
+        rows = recovery_summary(scn, fold_windows(make_log(), scn))
         verdicts |= {r["verdict"] for r in rows}
         peaks += [r["peak"] for r in rows]
     assert verdicts == {"recovered", "not-recovered", "diverged",
                         "unrecoverable"}
     assert any(np.isnan(p) for p in peaks) and np.inf in peaks
     assert 0.0 in peaks
+
+
+STATE_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+    st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dt=st.sampled_from([1.0, 0.3, 0.1, 1e-3]))
+def test_recovery_windows_fold_like_the_full_array_oracle(data, dt):
+    """Any chunking of a run's rows, NaN, inf and -0.0 among them and cut
+    short of its planned rows by a divergence trip, folds into the windows
+    that the full-array oracle reads off the whole log."""
+    planned = data.draw(st.integers(1, 120), label="planned rows")
+    rows = data.draw(st.integers(1, planned), label="rows before a trip")
+    x = data.draw(arrays(np.float64, (rows, 2, 3), elements=STATE_VALUES))
+    ends = data.draw(st.lists(st.integers(1, rows), max_size=5))
+    times = data.draw(st.lists(st.floats(0.0, (planned + 3) * dt),
+                               max_size=4))
+    # whole multiples of dt round either way, and a tail then needs the
+    # ring's spare row
+    settling = data.draw(st.one_of(st.floats(0.0, planned * dt),
+                                   st.integers(0, planned).map(
+                                       lambda m: m * dt)))
+    scn = types.SimpleNamespace(
+        faults=[FaultEvent(t_fault=t, subsystem=1, kind="total-loss",
+                           fdi_delay=0.5) for t in sorted(times)],
+        settling_window=settling, dt=dt)
+    windows = _RecoveryWindows(scn, planned)
+    for k0, k1 in zip([0] + sorted(set(ends)), sorted(set(ends) | {rows})):
+        windows.add(k0, x[k0:k1])
+    zeros = np.zeros((rows, 2))
+    log = TrajectoryLog(scenario_name="folded", t=np.arange(rows) * dt, x=x,
+                        xhat=x, y_meas=zeros, y_used=zeros, L=zeros,
+                        diverged=rows < planned, rows=rows,
+                        windows=windows.close(rows))
+    assert (json.dumps(recovery_summary(scn, log))
+            == json.dumps(orc.recovery_summary_full(scn, log)))
+    assert np.array_equal(_row_peaks(x), np.max(np.abs(x), axis=(1, 2)),
+                          equal_nan=True)
 
 
 def test_build_report_memory_stays_within_blocks(desk5):
@@ -614,12 +674,13 @@ def test_build_report_memory_stays_within_blocks(desk5):
                         interaction_peak=np.abs(rng.normal(size=(2000, 3))),
                         chain_activity=np.cumsum(
                             np.abs(rng.normal(size=(2000, 3))), axis=1),
-                        diag_stride=100, peaks=_row_peaks(x))
+                        diag_stride=100)
     scn = Scenario(plant=desk5, horizon=200.0, dt=1e-3, name="memory",
                    faults=(FaultEvent(t_fault=100.0, subsystem=5,
                                       kind="total-loss", fdi_delay=1.0),
                            FaultEvent(t_fault=150.0, subsystem=4,
                                       kind="total-loss", fdi_delay=1.0)))
+    fold_windows(log, scn, chunk=1000)
     tracemalloc.start()
     try:
         report = build_report(scn, log)
@@ -700,6 +761,19 @@ def test_noise_is_seeded(desk2, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     other = run_scenario(scn, seed=8)
     assert np.max(np.abs(other.y_meas - run_scenario(scn, seed=7).y_meas)) > 0
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+@pytest.mark.parametrize("seed, error", [(-1, ValueError),
+                                         (1.5, TypeError),
+                                         (None, TypeError)])
+def test_every_run_checks_its_seed(desk2, noise, seed, error):
+    """A noise-free run draws nothing, yet takes a seed only where a noisy
+    run would: a nonnegative integer."""
+    scn = Scenario(plant=desk2, horizon=0.01, dt=1e-3, noise_amplitude=noise)
+    with pytest.raises(error):
+        run_scenario(scn, seed=seed)
+    assert len(run_scenario(scn, seed=np.int64(3)).t) == 11
 
 
 # ---------------------------------------------------------------- writers
