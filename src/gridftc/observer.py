@@ -127,8 +127,9 @@ def chain_rk4(Z, y, g, uch, dt, out=None, scratch=None):
     like ``Z``.  The stages are summed in place in the order
     ``Z + (dt/6) ((k1 + 2 (k2 + k3)) + k4)``.
 
-    The next state goes to ``out`` (shaped like ``Z``, not ``Z`` itself)
-    and the temporaries to ``scratch``, a :class:`ChainScratch`; either is
+    The next state goes to ``out``, shaped like ``Z`` or ``Z`` itself (the
+    stages read ``Z`` before the last, elementwise sum writes ``out``), the
+    temporaries to ``scratch``, a :class:`ChainScratch`; either is
     allocated when not given, and the next state is returned.
     """
     ws = ChainScratch(Z.shape) if scratch is None else scratch

@@ -47,7 +47,7 @@ from .observability import (
     structurally_observable,
 )
 from .observer import ChainForm, to_chain_form
-from .power_model import N_STATES, LinearizedPlant
+from .power_model import N_OUTPUTS, N_STATES, LinearizedPlant
 
 __all__ = [
     "FieldError",
@@ -103,9 +103,9 @@ class FaultEvent:
     the diagnosis layer needs before the fault location and magnitude become
     available to the reconfiguration logic.
 
-    Every field is checked here, in its own terms (a scenario checks the
-    machine and the sensor row against its plant): an invalid one raises a
-    :class:`FieldError` naming it.
+    Every field is checked here, in its own terms (:meth:`check_location`
+    checks the machine and the sensor row against a plant): an invalid one
+    raises a :class:`FieldError` naming it.
     """
 
     t_fault: float
@@ -138,6 +138,16 @@ class FaultEvent:
                     or value < low):
                 raise FieldError(name, "must be an integer of at least "
                                  f"{low}, got {value!r}")
+
+    def check_location(self, n: int) -> None:
+        """Raise a :class:`FieldError` unless the fault's machine is one of
+        a plant's ``n`` and its sensor row one of that machine's outputs."""
+        if not 1 <= self.subsystem <= n:
+            raise FieldError("subsystem", f"{self.subsystem} is outside 1..{n}")
+        if self.sensor_row >= N_OUTPUTS:
+            raise FieldError("sensor_row",
+                             f"sensor row {self.sensor_row} is not one of "
+                             f"the machine's {N_OUTPUTS} output rows")
 
     def to_dict(self) -> dict:
         return asdict(self)

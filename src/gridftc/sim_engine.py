@@ -69,25 +69,24 @@ through this module's globals ``_rhs_core`` and ``_rk4_chain`` (a 2-D state
 is the nominal bank, a 1-D state the merged observer), where the
 ``perfbench`` tracer hooks them.
 
-At n = 5 the step costs numpy call overhead, not arithmetic, so each run
-owns one workspace, ``_Workspace``, built with the engine: the plant's RK4
-stages and stage state, the scratch of the plant RHS and of the chain step,
-the bank's gains, input term and innovation, the gain law's ``L * L``, the
-decoded estimates, the controller's product and inputs, and a spare ``Z``
-and ``Lg``.  The merged observer holds the same for its chain.  The step
-calls every ufunc with its output in a buffer, on row views built once,
-with its float constants as 0-d arrays; it allocates no array data, in a
-fault window or out of one.  Every ufunc keeps the operands and the order
-of the allocating form, so the bits do not depend on the buffers.  The
-scratch belongs to the run, never to the plant's cached RHS constants,
-which every run of a plant shares.
+The nominal bank and the merged observer are each a :class:`_ChainBank`,
+whose ``step`` is the kernel's one call of ``_rk4_chain`` and ``gain_law``.
+The state a run carries from row to row is ``x``, each bank's chain state
+``z`` and gains ``L``, and ``y_abs``, the last absolute readings, from
+which a stuck sensor holds; the step updates each in place, never
+rebinding it.
 
-Aliasing rule: a step writes the spare chain state and gains (``Z``/``Lg``
-and the merged observer's ``z``/``L``), then the pairs swap, and a run's
-last row is logged but not stepped.  So ``self.Z``, ``self.Lg``,
-``merged.z`` and ``self.y_abs``, which ``diagnose`` and ``activate`` read
-between segments, hold the last logged row's values and are not written
-again before the next ``advance``.
+At n = 5 the step costs numpy call overhead, not arithmetic, so each run
+owns one workspace of scratch, ``_Workspace``, built with the engine: the
+plant's RK4 stages and stage state, the RHS scratch, the decoded
+estimates, the controller's product and inputs and the bank's input term;
+each chain bank holds the temporaries of its own step.  The step calls
+every ufunc with its output in a buffer, on row views built once, with its
+float constants as 0-d arrays; it allocates no array data, in a fault
+window or out of one.  Every ufunc keeps the operands and the order of the
+allocating form, so the bits do not depend on the buffers.  The scratch
+belongs to the run, never to the plant's cached RHS constants, which every
+run of a plant shares.
 
 Divergence verdict
 ------------------
@@ -134,7 +133,6 @@ from .observer import (
     to_chain_form,
 )
 from .power_model import (
-    N_OUTPUTS,
     N_STATES,
     PlantModel,
     _RhsScratch,
@@ -288,22 +286,21 @@ class Scenario:
             if f.t_fault < last:
                 raise ScenarioError("faults", "fault events must be time-ordered")
             last = f.t_fault
-            if not 1 <= f.subsystem <= n:
-                raise ScenarioError(f"faults[{i}].subsystem",
-                                    f"subsystem {f.subsystem} outside 1..{n}")
-            if f.sensor_row >= N_OUTPUTS:
-                raise ScenarioError(f"faults[{i}].sensor_row",
-                                    f"row {f.sensor_row} is not one of the "
-                                    f"machine's {N_OUTPUTS} output rows")
-            if self.reconfigure and f.kind != "gain":
-                # The engine runs one merged observer; a second one would
-                # replace it and freeze the first faulty machine's estimate.
+            try:
+                f.check_location(n)
+            except FieldError as exc:
+                raise ScenarioError(f"faults[{i}].{exc.field}",
+                                    exc.reason) from None
+            if self.reconfigure and (f.kind != "gain" or f.factor == 0):
+                # A machine left without output (a dead sensor or a zero
+                # gain) needs the one merged observer the engine runs; a
+                # second would replace it and freeze the first's estimate.
                 if merged_id not in (None, f.subsystem):
                     raise ScenarioError(
                         f"faults[{i}]",
-                        f"a {f.kind} fault on subsystem {f.subsystem} after "
-                        f"one on subsystem {merged_id} needs a second merged "
-                        "observer, which the engine does not support")
+                        f"this {f.kind} fault leaves subsystem {f.subsystem} "
+                        f"no output after subsystem {merged_id} lost its own; "
+                        "the engine runs only one merged observer")
                 merged_id = f.subsystem
         if self.faults:
             need = max(f.t_fault for f in self.faults) + self.settling_window
@@ -606,58 +603,84 @@ def _grid_index(t: float, dt: float) -> int:
     return int(math.ceil(ratio))
 
 
-class _MergedObserver:
-    """Runtime state of the augmented-set chain observer of ``plan``,
-    started from the members' rows of the (n, 3) estimates ``xhat``.
+class _ChainBank:
+    """Adaptive chain observers stepped together: the chain state ``z``,
+    chain axis first ((3, n) for the nominal bank, (3m,) for the merged
+    observer of m machines), the gains ``L``, shaped like ``z[0]``, and
+    every temporary of :meth:`step`, which updates ``z`` and ``L`` in place
+    and never rebinds them, so their views stay valid for the run."""
+
+    def __init__(self, z: np.ndarray, L: np.ndarray):
+        self.z, self.L = z, L
+        # full shape of z, so that the gains' product broadcasts nothing
+        col = (slice(None),) + (None,) * (z.ndim - 1)
+        self.coeffs = shaping_coefficients(len(z))[col] * np.ones_like(z)
+        self.powers = np.arange(1, len(z) + 1, dtype=float)[col]
+        self.g, self.z_held = np.empty_like(z), np.empty_like(z)
+        self.e1, self.ll, self.L_next = (np.empty_like(L) for _ in range(3))
+        self.scratch = ChainScratch(z.shape)
+
+    def step(self, y, uch, dt: float, L_max, l_value: Optional[float],
+             frozen: Optional[np.ndarray] = None) -> None:
+        """Advance every observer one grid step on the readings ``y`` and
+        the chain-coordinate input term ``uch``, the innovation sampled at
+        the step start; the observers that the mask ``frozen`` (shaped like
+        ``L``) selects keep their state and gain."""
+        z, L, g, L_next = self.z, self.L, self.g, self.L_next
+        np.subtract(y, z[0], self.e1)
+        np.multiply(self.coeffs, np.power(L, self.powers, g), g)
+        if frozen is not None:
+            self.z_held[...] = z
+        _rk4_chain(z, y, g, uch, dt, out=z, scratch=self.scratch)
+        full = self.scratch.step_constants(dt)[1]   # dt as a 0-d array
+        # gain_law writes e1 * e1 into its output before it reads L
+        gain_law(L, self.e1, full, L_max, l_value, out=L_next,
+                 scratch=self.ll)
+        if frozen is not None:
+            np.copyto(z, self.z_held, where=frozen)
+            np.copyto(L_next, L, where=frozen)
+        L[...] = L_next
+
+
+class _MergedObserver(_ChainBank):
+    """The augmented-set chain observer of ``plan``, started from the
+    members' rows of the (n, 3) estimates ``xhat``: a :class:`_ChainBank`
+    of one observer, its gather and its decode.
 
     Its members are the plan's ``augment_set``, the faulty machine first, so
     that machine's estimate is the first three chain-decoded states.  The
     faulty member's dead sensor rows carry no output weight.  The gain
     adaptation restarts at L = 1.
 
-    The per-step temporaries are built here, once: the members' readings
-    and inputs, the weighted reading ``y``, the innovation and the gain as
-    0-d arrays, the gains ``a_k L^k``, the input term and the decoded
+    The gather's buffers are built here, once: the members' readings and
+    inputs, the weighted reading ``y`` (0-d), the input term and the decoded
     estimates, which :meth:`estimates` returns (``head`` views the faulty
-    machine's three).  A step writes the spare chain state and gain, then
-    ``z``/``z_spare`` and ``L``/``L_spare`` swap.
+    machine's three).
     """
 
     def __init__(self, plan: ReconfigPlan, xhat: np.ndarray):
         self.idx = np.array(plan.augment_set) - 1
         self.chain = plan.chain
         self.weights = plan.output_weights
-        n = self.chain.n
-        self.coeffs = shaping_coefficients(n)
-        self.powers = np.arange(1, n + 1, dtype=float)
-        self.z = self.chain.T @ xhat[self.idx].ravel()
-        self.L = np.array(1.0)
-        m = len(self.idx)
+        super().__init__(self.chain.T @ xhat[self.idx].ravel(),
+                         np.array(1.0))
+        m, n = len(self.idx), self.chain.n
         self.y_sub, self.u_sub = np.empty(m), np.empty(m)
-        self.y, self.e1, self.ll = np.empty(()), np.empty(()), np.empty(())
-        self.g, self.uch = np.empty(n), np.empty(n)
-        self.z_spare, self.L_spare = np.empty(n), np.empty(())
-        self.scratch = ChainScratch((n,))
+        self.y, self.uch = np.empty(()), np.empty(n)
         self.xhat = np.empty(n)
         self.head = self.xhat[:N_STATES]
 
-    def step(self, y_used: np.ndarray, u_dev: np.ndarray, dt: float,
-             L_max, l_value: Optional[float]) -> None:
-        """Advance the estimate and the gain one grid step."""
-        y, z, L = self.y, self.z, self.L
+    def observe(self, y_used: np.ndarray, u_dev: np.ndarray, dt: float,
+                L_max, l_value: Optional[float]) -> None:
+        """Gather the members' readings and inputs from the (n,) rows
+        ``y_used`` and ``u_dev`` and step the observer."""
         # the members' entries; "clip" never moves an index in range, and
         # spares the buffered copy that "raise" makes of ``out``
         np.matmul(self.weights, y_used.take(self.idx, None, self.y_sub,
-                                            "clip"), y)
+                                            "clip"), self.y)
         np.matmul(self.chain.input_chain,
                   u_dev.take(self.idx, None, self.u_sub, "clip"), self.uch)
-        g = np.multiply(self.coeffs, np.power(L, self.powers, self.g), self.g)
-        np.subtract(y, z[0], self.e1)
-        self.z = _rk4_chain(z, y, g, self.uch, dt, out=self.z_spare,
-                            scratch=self.scratch)
-        self.L = gain_law(L, self.e1, dt, L_max, l_value, out=self.L_spare,
-                          scratch=self.ll)
-        self.z_spare, self.L_spare = z, L
+        self.step(self.y, self.uch, dt, L_max, l_value)
 
     def estimates(self) -> np.ndarray:
         return np.matmul(self.chain.T_inv, self.z, self.xhat)
@@ -679,17 +702,16 @@ def _timeline(scn: Scenario, n_steps: int) -> list:
 
 
 class _Workspace:
-    """Every per-row temporary of :meth:`_Engine.advance` for ``n``
-    machines, built once per run with the row views the step reads.
+    """The per-row scratch of :meth:`_Engine.advance` outside the chain
+    banks for ``n`` machines, built once per run with the row views the
+    step reads; nothing in it outlives a row.
 
     Plant: the four RK4 stages ``k``, the stage state ``s``, each of them
     also as the tuple of its rows that :func:`_rhs_core` takes, and the RHS
-    scratch.  Bank: the chain-step scratch, the gains ``a_k L^k``, the input
-    term, the innovation, the gain law's ``L * L`` and the spare ``Z`` and
-    ``Lg`` that each step writes before the two pairs swap.  Rows: the
-    readings, the noise, the deviations, the consumed readings, the decoded
-    estimates (``xhat3`` is the (n, 3, 1) product ``Tn_inv @ Z.T[..., None]``
-    and ``xhat`` its (n, 3) view) and the controller's product and inputs.
+    scratch.  Rows: the noise, the deviations, the consumed readings, the
+    decoded estimates (``xhat3`` is the (n, 3, 1) product ``Tn_inv @
+    z.T[..., None]`` and ``xhat`` its (n, 3) view), the controller's
+    product and inputs and the bank's input term.
     """
 
     def __init__(self, n: int):
@@ -699,14 +721,7 @@ class _Workspace:
         self.k_rows = [tuple(k) for k in self.k]
         self.s_rows = tuple(self.s)
         self.rhs = _RhsScratch(n)
-        self.chain = ChainScratch(shape)
-        self.gains = np.empty(shape)
         self.uch = np.empty(shape)
-        self.e1 = np.empty(n)
-        self.ll = np.empty(n)
-        self.Z_spare = np.empty(shape)
-        self.Lg_spare = np.empty(n)
-        self.y_abs = np.empty(n)
         self.noise = np.empty(n)
         self.y_dev = np.empty(n)
         self.y_used = np.empty(n)
@@ -727,15 +742,15 @@ class _Engine:
     on the diagnostic's stride.  ``rng`` is the noise generator, None in a
     noise-free run.
 
-    ``x`` (plant deviations) and ``Z`` (nominal chain states) are
-    state-major, (3, n); ``Lg`` holds the nominal gains and ``y_abs`` the
-    last absolute readings, from which a stuck sensor holds.  Between two
-    events the rest is fixed: ``active`` lists the active faults as
-    ``(FaultEvent, held)`` pairs and ``vs_gain`` maps a 0-based subsystem
-    to its virtual-sensor gain, for :func:`reading_map`; ``frozen`` masks
-    the subsystems whose nominal observer is switched off and ``merged`` is
-    the augmented-set observer.
-    ``ws`` is the run's :class:`_Workspace`.
+    The step carries ``x`` (plant deviations, state-major, (3, n)), the
+    nominal ``bank``'s and the ``merged`` observer's chain states and gains
+    and ``y_abs``, the last absolute readings, from which a stuck sensor
+    holds, and updates them in place.  Between two events the rest is
+    fixed: ``active`` lists the active faults as ``(FaultEvent, held)``
+    pairs and ``vs_gain`` maps a 0-based subsystem to its virtual-sensor
+    gain, for :func:`reading_map`; ``frozen`` masks the subsystems whose
+    nominal observer is switched off and ``merged`` is the augmented-set
+    observer or None.  ``ws`` is the run's :class:`_Workspace`.
     """
 
     def __init__(self, scn: Scenario, seed: int, held: int):
@@ -760,14 +775,9 @@ class _Engine:
         self.coupling = _chain_coupling(lin.Gint, self.Tn)
         self.Tn_inv = np.stack([c.T_inv for c in chains])
         self.ICn = np.stack([c.input_chain.ravel() for c in chains], axis=1)
-        # full (3, n), so that the gains' product broadcasts nothing
-        self.coeffs = np.repeat(shaping_coefficients(N_STATES)[:, None], n,
-                                axis=1)
-        self.powers = np.arange(1, N_STATES + 1, dtype=float)[:, None]
         xhat0 = np.full((n, N_STATES), scn.observer.initial_offset)
-        self.Z = np.ascontiguousarray(
-            np.einsum("nij,nj->ni", self.Tn, xhat0).T)
-        self.Lg = np.ones(n)
+        self.bank = _ChainBank(np.ascontiguousarray(
+            np.einsum("nij,nj->ni", self.Tn, xhat0).T), np.ones(n))
         self.L_max = scn.observer.L_max
         self.l_const = (scn.observer.l_value
                         if scn.observer.l_mode == "constant" else None)
@@ -812,7 +822,7 @@ class _Engine:
         globals ``_rhs_core`` and ``_rk4_chain`` and the RK4 stages of the
         plant are summed in place, in the order ``x + (dt/6) ((k1 + 2 (k2 +
         k3)) + k4)``.  Every temporary is a buffer of the run's
-        :class:`_Workspace` or of the merged observer.
+        :class:`_Workspace` or of a chain bank.
         """
         dt, last, ws = self.dt, self.n_steps, self.ws
         # step constants as 0-d arrays, which ufuncs take faster than floats
@@ -823,22 +833,17 @@ class _Engine:
         matmul = np.matmul
         x, xT, x0, x_rows = self.x, self.x.T, self.x[0], tuple(self.x)
         y_ref, u0, K, Tn_inv = self.y_ref, self.u0, self.K, self.Tn_inv
-        coeffs, powers, ICn = self.coeffs, self.powers, self.ICn
-        rhs_k, l_const, rng = self.rhs_k, self.l_const, self.rng
+        ICn, rhs_k, l_const, rng = self.ICn, self.rhs_k, self.l_const, self.rng
         noisy = self.scn.noise_amplitude > 0.0
-        merged = self.merged
+        bank, merged = self.bank, self.merged
+        step, Lg, ZT = bank.step, bank.L, bank.z.T[..., None]
         frozen = self.frozen if self.frozen.any() else None
         k1, k2, k3, k4 = ws.k
-        s, s_rows, k_rows = ws.s, ws.s_rows, ws.k_rows
-        rhs_ws, chain_ws = ws.rhs, ws.chain
-        gains, uch, e1, ll, noise = ws.gains, ws.uch, ws.e1, ws.ll, ws.noise
-        ya, y_dev, yu = ws.y_abs, ws.y_dev, ws.y_used
+        s, s_rows, k_rows, rhs_ws = ws.s, ws.s_rows, ws.k_rows, ws.rhs
+        uch, noise, ya = ws.uch, ws.noise, self.y_abs
+        y_dev, yu = ws.y_dev, ws.y_used
         xhat3, xhat, Kx = ws.xhat3, ws.xhat, ws.Kx
         u_dev, u_abs = ws.u_dev, ws.u_abs
-        # the current and the spare (Z, Z[0], Z.T[..., None], Lg); the step
-        # writes the spare, then the two swap
-        cur, nxt = [(Z, Z[0], Z.T[..., None], Lg) for Z, Lg in
-                    ((self.Z, self.Lg), (ws.Z_spare, ws.Lg_spare))]
         scales, fixed, vs = reading_map(self.active, self.vs_gain, y_ref)
         put, (fix_idx, fix_val) = ya.put, fixed or (None, None)
         vs_off, vs_div = vs or (None, None)
@@ -851,7 +856,6 @@ class _Engine:
         y_used = y_dev if vs is None else yu
         for k in range(k0, k_end):
             r = k - base
-            Z, Z0, ZT, Lg = cur
             # --- measurement and estimates at the step start -----------------
             add(y_ref, x0, ya)
             if noisy:
@@ -896,20 +900,10 @@ class _Engine:
             add(u0, u_dev, u_abs)
 
             # --- observers (innovation sampled at the step start) --------------
-            subtract(y_used, Z0, e1)
-            np.power(Lg, powers, gains)
-            multiply(coeffs, gains, gains)
             multiply(ICn, u_dev, uch)
-            Z_next, _, _, Lg_next = nxt
-            _rk4_chain(Z, y_used, gains, uch, dt, out=Z_next,
-                       scratch=chain_ws)
-            gain_law(Lg, e1, full, L_max, l_const, out=Lg_next, scratch=ll)
-            if frozen is not None:
-                np.copyto(Z_next, Z, where=frozen)
-                np.copyto(Lg_next, Lg, where=frozen)
-            cur, nxt = nxt, cur
+            step(y_used, uch, dt, L_max, l_const, frozen)
             if merged is not None:
-                merged.step(y_used, u_dev, dt, L_max, l_const)
+                merged.observe(y_used, u_dev, dt, L_max, l_const)
 
             # --- plant -----------------------------------------------------------
             _rhs_core(x_rows, u_abs, rhs_k, k_rows[0], rhs_ws)
@@ -928,9 +922,6 @@ class _Engine:
             add(k2, k4, k2)
             multiply(k2, sixth, k2)
             add(x, k2, x)
-        self.Z, self.Lg = cur[0], cur[3]
-        ws.Z_spare, ws.Lg_spare = nxt[0], nxt[3]
-        self.y_abs = ya
 
     def check(self, k0: int, k_end: int) -> bool:
         """Divergence verdict on rows ``k0 .. k_end - 1``.
@@ -988,7 +979,7 @@ class _Engine:
         if plan.mode == MODE_VIRTUAL_SENSOR:
             self.vs_gain[sid - 1] = f.factor
         elif plan.mode == MODE_AUGMENTATION:
-            xh_now = (self.Tn_inv @ self.Z.T[..., None])[..., 0]
+            xh_now = (self.Tn_inv @ self.bank.z.T[..., None])[..., 0]
             if self.merged is not None:
                 xh_now[self.merged.idx] = self.merged.estimates().reshape(
                     -1, N_STATES)

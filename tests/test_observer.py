@@ -149,6 +149,12 @@ def test_chain_step_matches_loop_oracle(shape, n, m, seed, l_mode, capped):
     assert out.tobytes() == Z_next.tobytes()
     assert L_out.tobytes() == np.asarray(L_next).tobytes()
 
+    # in place, the state as ``out``: the same bytes again
+    state = Z.copy()
+    assert chain_rk4(state, y, g, uch, dt, out=state,
+                     scratch=scratch) is state
+    assert state.tobytes() == Z_next.tobytes()
+
 
 def test_desk2_convergence_with_random_offsets(desk2, rng):
     """Estimation error falls below 1e-2 inside 20 simulated seconds."""

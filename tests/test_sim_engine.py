@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _oracles as orc
+from gridftc import sim_engine
 from gridftc.power_model import (
     NetworkModel,
     PlantModel,
@@ -125,16 +126,21 @@ def test_validate_rejects_a_second_merged_observer(desk5):
                        fdi_delay=0.5)
     stuck3 = FaultEvent(t_fault=4.0, subsystem=3, kind="stuck",
                         fdi_delay=0.5)
-    for second in (dead3, stuck3):
-        scn = Scenario(plant=desk5, horizon=20.0, dt=1e-3,
-                       faults=(dead5, second))
+    # a zero gain leaves no output either, so its plan merges too
+    zero5 = FaultEvent(t_fault=1.0, subsystem=5, kind="gain", factor=0.0,
+                       fdi_delay=0.5)
+    zero3 = FaultEvent(t_fault=4.0, subsystem=3, kind="gain", factor=0.0,
+                       fdi_delay=0.5)
+    for faults in ((dead5, dead3), (dead5, stuck3), (dead5, zero3),
+                   (zero5, dead3)):
+        scn = Scenario(plant=desk5, horizon=20.0, dt=1e-3, faults=faults)
         with pytest.raises(ScenarioError) as err:
             scn.validate()
         assert err.value.field == "faults[1]"
         with pytest.raises(ScenarioError):
             run_scenario(scn)
         # with reconfiguration off no observer is ever merged
-        Scenario(plant=desk5, horizon=20.0, dt=1e-3, faults=(dead5, second),
+        Scenario(plant=desk5, horizon=20.0, dt=1e-3, faults=faults,
                  reconfigure=False).validate()
     # one merged machine plus virtual sensors elsewhere stays valid, and so
     # does the shipped study's gain fault followed by a total loss on 5
@@ -387,6 +393,30 @@ def test_stuck_fault_holds_reading(desk2, stuck_value):
     assert not np.all(log.y_meas[:k0, 0] == held[0])
     # the healthy sensor keeps tracking its angle
     assert np.allclose(log.y_meas[:, 1], log.x[:, 1, 0], rtol=0.0, atol=1e-12)
+
+
+def test_chain_step_hook_sees_each_observer_once_per_row(desk5, monkeypatch):
+    """The benchmark's tracer hooks ``sim_engine._rk4_chain`` and tells the
+    nominal bank (a 2-D state) from the merged observer (1-D): every
+    stepped row calls it once for the bank, and once more for the merged
+    observer from the augmentation on.  The last row is not stepped."""
+    real, calls = sim_engine._rk4_chain, []
+
+    def counted(Z, *args, **kwargs):
+        calls.append(Z.ndim)
+        return real(Z, *args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "_rk4_chain", counted)
+    dead5 = FaultEvent(t_fault=0.5, subsystem=5, kind="total-loss",
+                       fdi_delay=0.3)
+    scn = Scenario(plant=desk5, horizon=2.0, dt=0.01, faults=(dead5,),
+                   settling_window=0.5)
+    log = run_scenario(scn)
+    k_aug = next(m.step for m in log.events
+                 if m.label == "fdi:sub5:augmentation")
+    steps = len(log.t) - 1
+    assert 0 < k_aug < steps == 200
+    assert calls == [2] * k_aug + [2, 1] * (steps - k_aug)
 
 
 def _reduced_einsum(Gint, Tn, X):
